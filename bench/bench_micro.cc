@@ -171,10 +171,11 @@ WsqDatabase& IndexedDb() {
 }
 
 void BM_SeqScanFilter20k(benchmark::State& state) {
-  // Force a sequential scan by filtering on the unindexed column pair.
+  // Filters only on the unindexed V, so this plans a Scan (not an
+  // IndexScan on K) and reads all 20k rows to return 10.
   for (auto _ : state) {
     auto r = IndexedDb().Execute(
-        "SELECT V FROM Big WHERE K = 'key777' AND V >= 0");
+        "SELECT V FROM Big WHERE V >= 7770 AND V < 7780");
     benchmark::DoNotOptimize(r);
   }
 }

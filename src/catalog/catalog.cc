@@ -22,6 +22,18 @@ namespace {
 bool Indexable(const Value& v) { return !v.is_null(); }
 }  // namespace
 
+bool IndexRange::IsEquality() const {
+  return lo.value.has_value() && hi.value.has_value() && lo.inclusive &&
+         hi.inclusive && lo.value->Compare(*hi.value) == 0;
+}
+
+Result<std::vector<Rid>> IndexInfo::Search(const IndexRange& range) const {
+  if (range.IsEquality()) return tree_.SearchEqual(*range.lo.value);
+  const Value* lo = range.lo.value.has_value() ? &*range.lo.value : nullptr;
+  const Value* hi = range.hi.value.has_value() ? &*range.hi.value : nullptr;
+  return tree_.SearchRange(lo, range.lo.inclusive, hi, range.hi.inclusive);
+}
+
 Status TableInfo::Insert(const Row& row) {
   if (row.size() != schema_.NumColumns()) {
     return Status::TypeError(

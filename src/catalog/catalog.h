@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,24 @@
 #include "types/schema.h"
 
 namespace wsq {
+
+/// One side of a range restriction on an indexed column.
+struct IndexBound {
+  std::optional<Value> value;  // nullopt = unbounded
+  bool inclusive = true;
+};
+
+/// The keys an index lookup reads: lo <?= key <?= hi. Both sides holding
+/// the same value inclusively make it an equality probe.
+struct IndexRange {
+  IndexBound lo;
+  IndexBound hi;
+
+  static IndexRange Equal(const Value& key) {
+    return IndexRange{IndexBound{key, true}, IndexBound{key, true}};
+  }
+  bool IsEquality() const;
+};
 
 /// A secondary index over one column of a stored table (the Redbase IX
 /// component): a B+ tree mapping column values to rids. NULL values are
@@ -29,6 +48,9 @@ class IndexInfo {
   size_t column() const { return column_; }
   BPlusTree* tree() { return &tree_; }
   const BPlusTree* tree() const { return &tree_; }
+
+  /// Rids whose key lies in `range`, in (key, rid) order.
+  Result<std::vector<Rid>> Search(const IndexRange& range) const;
 
  private:
   std::string name_;

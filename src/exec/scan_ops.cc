@@ -25,20 +25,7 @@ Status SeqScanOperator::CloseImpl() {
 
 Status IndexScanOperator::OpenImpl() {
   next_ = 0;
-  const BPlusTree* tree = node_->index()->tree();
-  if (node_->IsEquality()) {
-    WSQ_ASSIGN_OR_RETURN(rids_, tree->SearchEqual(*node_->lo().value));
-  } else {
-    const Value* lo = node_->lo().value.has_value()
-                          ? &*node_->lo().value
-                          : nullptr;
-    const Value* hi = node_->hi().value.has_value()
-                          ? &*node_->hi().value
-                          : nullptr;
-    WSQ_ASSIGN_OR_RETURN(
-        rids_, tree->SearchRange(lo, node_->lo().inclusive, hi,
-                                 node_->hi().inclusive));
-  }
+  WSQ_ASSIGN_OR_RETURN(rids_, node_->index()->Search(node_->range()));
   return Status::OK();
 }
 

@@ -106,7 +106,103 @@ BinaryOp MirrorComparison(BinaryOp op) {
   }
 }
 
+/// A `column op literal` conjunct on one of the table's indexed
+/// columns, with the column on the left and the literal widened to the
+/// column's type.
+struct Sargable {
+  IndexInfo* index;
+  BinaryOp op;
+  Value key;
+};
+
+std::optional<Sargable> MatchSargable(const TableInfo& table,
+                                      const ParsedExpr& expr,
+                                      const ColumnResolver& column_of) {
+  if (expr.kind() != ParsedExpr::Kind::kBinary) return std::nullopt;
+  const auto& bin = static_cast<const BinaryExpr&>(expr);
+  BinaryOp op = bin.op();
+  if (op != BinaryOp::kEq && op != BinaryOp::kLt && op != BinaryOp::kLe &&
+      op != BinaryOp::kGt && op != BinaryOp::kGe) {
+    return std::nullopt;
+  }
+  const ParsedExpr* col = &bin.left();
+  const ParsedExpr* lit = &bin.right();
+  if (col->kind() != ParsedExpr::Kind::kColumnRef) {
+    std::swap(col, lit);
+    op = MirrorComparison(op);
+  }
+  if (col->kind() != ParsedExpr::Kind::kColumnRef ||
+      lit->kind() != ParsedExpr::Kind::kLiteral) {
+    return std::nullopt;
+  }
+  std::optional<size_t> position =
+      column_of(static_cast<const ColumnRefExpr&>(*col));
+  if (!position.has_value()) return std::nullopt;
+  const Column& column = table.schema().column(*position);
+  IndexInfo* index = table.FindIndexOn(column.name);
+  if (index == nullptr) return std::nullopt;
+
+  Value key = static_cast<const LiteralExpr&>(*lit).value();
+  if (key.is_null()) return std::nullopt;
+  if (column.type == TypeId::kDouble && key.is_int()) {
+    key = Value::Real(static_cast<double>(key.AsInt()));
+  }
+  if (key.type() != column.type) return std::nullopt;  // let the filter error
+  // A string too long for an index key matches no indexed row; the
+  // filter gives that answer instead of a key-encoding error.
+  if (!EncodeBTreeKey(key).ok()) return std::nullopt;
+  return Sargable{index, op, std::move(key)};
+}
+
 }  // namespace
+
+std::optional<IndexAccess> MatchIndexAccess(
+    const TableInfo& table, const std::vector<const ParsedExpr*>& conjuncts,
+    const ColumnResolver& column_of) {
+  std::vector<std::optional<Sargable>> matched;
+  matched.reserve(conjuncts.size());
+  for (const ParsedExpr* conjunct : conjuncts) {
+    matched.push_back(conjunct == nullptr
+                          ? std::nullopt
+                          : MatchSargable(table, *conjunct, column_of));
+  }
+
+  // An equality probe: the first one wins.
+  for (size_t i = 0; i < matched.size(); ++i) {
+    if (matched[i].has_value() && matched[i]->op == BinaryOp::kEq) {
+      return IndexAccess{matched[i]->index,
+                         IndexRange::Equal(matched[i]->key), {i}};
+    }
+  }
+
+  // No equality: fold the range conjuncts on one indexed column (the
+  // first one matched) into one range, keeping the tightest bounds.
+  IndexAccess access;
+  for (size_t i = 0; i < matched.size(); ++i) {
+    if (!matched[i].has_value()) continue;
+    Sargable& m = *matched[i];
+    if (access.index != nullptr && m.index != access.index) continue;
+    bool is_upper = m.op == BinaryOp::kLt || m.op == BinaryOp::kLe;
+    bool inclusive = m.op == BinaryOp::kLe || m.op == BinaryOp::kGe;
+    IndexBound* side = is_upper ? &access.range.hi : &access.range.lo;
+    bool tighter;
+    if (!side->value.has_value()) {
+      tighter = true;
+    } else {
+      int c = m.key.Compare(*side->value);
+      tighter = is_upper ? (c < 0 || (c == 0 && !inclusive))
+                         : (c > 0 || (c == 0 && !inclusive));
+    }
+    if (tighter) {
+      side->value = std::move(m.key);
+      side->inclusive = inclusive;
+    }
+    access.index = m.index;
+    access.consumed.push_back(i);
+  }
+  if (access.index == nullptr) return std::nullopt;
+  return access;
+}
 
 Binder::Binder(const Catalog* catalog, const VirtualTableRegistry* vtables,
                BinderOptions options)
@@ -539,114 +635,31 @@ Result<PlanNodePtr> Binder::BuildJoinTree(std::vector<Source>* sources,
     }
   }
 
-  // If a single-table equality residual matches an index on a stored
-  // source, access it through an IndexScan and consume the conjunct.
-  auto make_table_access = [&](Source& s,
-                               size_t level) -> Result<PlanNodePtr> {
-    for (Residual& r : *residuals) {
-      if (r.expr == nullptr || r.attach_after != level) continue;
-      if (r.expr->kind() != ParsedExpr::Kind::kBinary) continue;
-      const auto& bin = static_cast<const BinaryExpr&>(*r.expr);
-      if (bin.op() != BinaryOp::kEq) continue;
-      const ParsedExpr* col = &bin.left();
-      const ParsedExpr* lit = &bin.right();
-      if (col->kind() != ParsedExpr::Kind::kColumnRef) {
-        std::swap(col, lit);
-      }
-      if (col->kind() != ParsedExpr::Kind::kColumnRef ||
-          lit->kind() != ParsedExpr::Kind::kLiteral) {
-        continue;
-      }
-      const auto& ref = static_cast<const ColumnRefExpr&>(*col);
-      auto resolved = ResolveColumn(*sources, ref.qualifier(), ref.name());
-      if (!resolved.ok() || resolved->first != level) continue;
-      const Column& column = s.schema.column(resolved->second);
-      IndexInfo* index = s.table->FindIndexOn(column.name);
-      if (index == nullptr) continue;
-
-      Value key = static_cast<const LiteralExpr&>(*lit).value();
-      if (key.is_null()) continue;
-      if (column.type == TypeId::kDouble && key.is_int()) {
-        key = Value::Real(static_cast<double>(key.AsInt()));
-      }
-      if (key.type() != column.type) continue;  // let the filter error
-
-      r.expr = nullptr;  // consumed by the index lookup
-      return PlanNodePtr(std::make_unique<IndexScanNode>(
-          s.table, index, s.effective_name, key));
+  // Access a stored source through an IndexScan when one of its
+  // single-table residuals is sargable; the index consumes the conjuncts
+  // it answers.
+  auto make_table_access = [&](Source& s, size_t level) -> PlanNodePtr {
+    std::vector<const ParsedExpr*> conjuncts;
+    for (const Residual& r : *residuals) {
+      conjuncts.push_back(r.attach_after == level ? r.expr : nullptr);
     }
-
-    // No equality: fold single-table range conjuncts on one indexed
-    // column into an index range scan.
-    IndexInfo* range_index = nullptr;
-    size_t range_col = 0;
-    IndexScanNode::Bound lo, hi;
-    std::vector<Residual*> consumed;
-    for (Residual& r : *residuals) {
-      if (r.expr == nullptr || r.attach_after != level) continue;
-      if (r.expr->kind() != ParsedExpr::Kind::kBinary) continue;
-      const auto& bin = static_cast<const BinaryExpr&>(*r.expr);
-      BinaryOp op = bin.op();
-      if (op != BinaryOp::kLt && op != BinaryOp::kLe &&
-          op != BinaryOp::kGt && op != BinaryOp::kGe) {
-        continue;
-      }
-      const ParsedExpr* col = &bin.left();
-      const ParsedExpr* lit = &bin.right();
-      if (col->kind() != ParsedExpr::Kind::kColumnRef) {
-        std::swap(col, lit);
-        op = MirrorComparison(op);
-      }
-      if (col->kind() != ParsedExpr::Kind::kColumnRef ||
-          lit->kind() != ParsedExpr::Kind::kLiteral) {
-        continue;
-      }
-      const auto& ref = static_cast<const ColumnRefExpr&>(*col);
-      auto resolved = ResolveColumn(*sources, ref.qualifier(), ref.name());
-      if (!resolved.ok() || resolved->first != level) continue;
-      const Column& column = s.schema.column(resolved->second);
-      IndexInfo* index = s.table->FindIndexOn(column.name);
-      if (index == nullptr) continue;
-      if (range_index != nullptr &&
-          (index != range_index || resolved->second != range_col)) {
-        continue;  // one indexed column per scan
-      }
-
-      Value bound = static_cast<const LiteralExpr&>(*lit).value();
-      if (bound.is_null()) continue;
-      if (column.type == TypeId::kDouble && bound.is_int()) {
-        bound = Value::Real(static_cast<double>(bound.AsInt()));
-      }
-      if (bound.type() != column.type) continue;
-
-      bool is_upper = op == BinaryOp::kLt || op == BinaryOp::kLe;
-      bool inclusive = op == BinaryOp::kLe || op == BinaryOp::kGe;
-      IndexScanNode::Bound* side = is_upper ? &hi : &lo;
-      bool tighter;
-      if (!side->value.has_value()) {
-        tighter = true;
-      } else {
-        int c = bound.Compare(*side->value);
-        tighter = is_upper ? (c < 0 || (c == 0 && !inclusive))
-                           : (c > 0 || (c == 0 && !inclusive));
-      }
-      if (tighter) {
-        side->value = std::move(bound);
-        side->inclusive = inclusive;
-      }
-      range_index = index;
-      range_col = resolved->second;
-      consumed.push_back(&r);
+    std::optional<IndexAccess> access = MatchIndexAccess(
+        *s.table, conjuncts,
+        [&](const ColumnRefExpr& ref) -> std::optional<size_t> {
+          auto resolved =
+              ResolveColumn(*sources, ref.qualifier(), ref.name());
+          if (!resolved.ok() || resolved->first != level) {
+            return std::nullopt;
+          }
+          return resolved->second;
+        });
+    if (!access.has_value()) {
+      return std::make_unique<ScanNode>(s.table, s.effective_name);
     }
-    if (range_index != nullptr) {
-      for (Residual* r : consumed) r->expr = nullptr;
-      return PlanNodePtr(std::make_unique<IndexScanNode>(
-          s.table, range_index, s.effective_name, std::move(lo),
-          std::move(hi)));
-    }
-
-    return PlanNodePtr(
-        std::make_unique<ScanNode>(s.table, s.effective_name));
+    for (size_t i : access->consumed) (*residuals)[i].expr = nullptr;
+    return std::make_unique<IndexScanNode>(s.table, access->index,
+                                           s.effective_name,
+                                           std::move(access->range));
   };
 
   auto make_ev_scan = [&](Source& s) {
@@ -681,7 +694,7 @@ Result<PlanNodePtr> Binder::BuildJoinTree(std::vector<Source>* sources,
     }
     plan = make_ev_scan(first);
   } else {
-    WSQ_ASSIGN_OR_RETURN(plan, make_table_access(first, 0));
+    plan = make_table_access(first, 0);
   }
   WSQ_ASSIGN_OR_RETURN(plan, attach_residuals(std::move(plan), 0));
 
@@ -697,7 +710,7 @@ Result<PlanNodePtr> Binder::BuildJoinTree(std::vector<Source>* sources,
                                                   std::move(ev));
       }
     } else {
-      WSQ_ASSIGN_OR_RETURN(PlanNodePtr scan, make_table_access(s, i));
+      PlanNodePtr scan = make_table_access(s, i);
       // Fold this level's residuals into the join predicate.
       BoundExprPtr pred;
       for (Residual& r : *residuals) {

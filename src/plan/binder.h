@@ -1,7 +1,9 @@
 #ifndef WSQ_PLAN_BINDER_H_
 #define WSQ_PLAN_BINDER_H_
 
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -90,6 +92,33 @@ class Binder {
   const VirtualTableRegistry* vtables_;
   BinderOptions options_;
 };
+
+/// An index access path for one stored table, matched from its WHERE
+/// conjuncts: the index, the key range it reads, and the conjuncts that
+/// range answers exactly.
+struct IndexAccess {
+  IndexInfo* index = nullptr;
+  IndexRange range;
+  /// Positions, in the matched conjunct list, answered by `range`.
+  std::vector<size_t> consumed;
+};
+
+/// Maps a column reference to its position in the table's schema, or
+/// nullopt when it names no column of that table.
+using ColumnResolver =
+    std::function<std::optional<size_t>(const ColumnRefExpr&)>;
+
+/// The sargable-conjunct matcher, shared by SELECT planning and by
+/// UPDATE/DELETE. Picks the first `indexed_col = literal` conjunct as an
+/// equality probe; failing that, folds every `<`, `<=`, `>`, `>=` literal
+/// bound on one indexed column into one range. NULL literals, and
+/// literals whose type differs from the column's after INT-to-DOUBLE
+/// widening, never match: the residual filter decides those. Null
+/// entries in `conjuncts` are skipped. Returns nullopt when no conjunct
+/// matches an index (scan the heap).
+std::optional<IndexAccess> MatchIndexAccess(
+    const TableInfo& table, const std::vector<const ParsedExpr*>& conjuncts,
+    const ColumnResolver& column_of);
 
 /// Splits an expression on top-level ANDs.
 void CollectConjuncts(const ParsedExpr& expr,

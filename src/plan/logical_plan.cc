@@ -34,17 +34,19 @@ std::string IndexScanNode::Label() const {
   }
   const std::string& col = schema_.column(index_->column()).name;
   std::string restriction;
-  if (IsEquality()) {
-    restriction = col + " = " + lo_.value->ToString();
+  const IndexBound& lo = range_.lo;
+  const IndexBound& hi = range_.hi;
+  if (range_.IsEquality()) {
+    restriction = col + " = " + lo.value->ToString();
   } else {
     std::vector<std::string> parts;
-    if (lo_.value.has_value()) {
-      parts.push_back(col + (lo_.inclusive ? " >= " : " > ") +
-                      lo_.value->ToString());
+    if (lo.value.has_value()) {
+      parts.push_back(col + (lo.inclusive ? " >= " : " > ") +
+                      lo.value->ToString());
     }
-    if (hi_.value.has_value()) {
-      parts.push_back(col + (hi_.inclusive ? " <= " : " < ") +
-                      hi_.value->ToString());
+    if (hi.value.has_value()) {
+      parts.push_back(col + (hi.inclusive ? " <= " : " < ") +
+                      hi.value->ToString());
     }
     restriction = Join(parts, " and ");
   }

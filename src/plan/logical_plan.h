@@ -22,7 +22,7 @@ class PlanNode {
  public:
   enum class Kind {
     kScan,           ///< stored-table sequential scan
-    kIndexScan,      ///< stored-table equality lookup through a B+ tree
+    kIndexScan,      ///< stored-table equality/range lookup through a B+ tree
     kEVScan,         ///< external virtual table scan (sync or async)
     kFilter,         ///< selection σ
     kProject,        ///< projection π (with computed expressions)
@@ -92,41 +92,19 @@ class ScanNode : public PlanNode {
 /// access path).
 class IndexScanNode : public PlanNode {
  public:
-  /// One side of a range restriction on the indexed column.
-  struct Bound {
-    std::optional<Value> value;  // nullopt = unbounded
-    bool inclusive = true;
-  };
-
-  /// Equality scan.
   IndexScanNode(TableInfo* table, IndexInfo* index,
-                std::string effective_name, const Value& key)
-      : IndexScanNode(table, index, std::move(effective_name),
-                      Bound{key, true}, Bound{key, true}) {}
-
-  /// Range scan.
-  IndexScanNode(TableInfo* table, IndexInfo* index,
-                std::string effective_name, Bound lo, Bound hi)
+                std::string effective_name, IndexRange range)
       : PlanNode(Kind::kIndexScan,
                  table->schema().WithQualifier(effective_name)),
         table_(table),
         index_(index),
         effective_name_(std::move(effective_name)),
-        lo_(std::move(lo)),
-        hi_(std::move(hi)) {}
+        range_(std::move(range)) {}
 
   TableInfo* table() const { return table_; }
   IndexInfo* index() const { return index_; }
   const std::string& effective_name() const { return effective_name_; }
-  const Bound& lo() const { return lo_; }
-  const Bound& hi() const { return hi_; }
-
-  /// True when lo == hi and both are inclusive.
-  bool IsEquality() const {
-    return lo_.value.has_value() && hi_.value.has_value() &&
-           lo_.inclusive && hi_.inclusive &&
-           lo_.value->Compare(*hi_.value) == 0;
-  }
+  const IndexRange& range() const { return range_; }
 
   std::string Label() const override;
 
@@ -134,8 +112,7 @@ class IndexScanNode : public PlanNode {
   TableInfo* table_;
   IndexInfo* index_;
   std::string effective_name_;
-  Bound lo_;
-  Bound hi_;
+  IndexRange range_;
 };
 
 /// External virtual table scan. Input columns (SearchExp, T1..Tn) are

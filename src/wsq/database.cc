@@ -1,6 +1,9 @@
 #include "wsq/database.h"
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
+#include <optional>
 
 #include "catalog/catalog_serde.h"
 #include "plan/cost_model.h"
@@ -22,6 +25,70 @@ namespace {
 /// so slow-query lines and traces from different databases never
 /// collide in a shared log.
 std::atomic<uint64_t> g_next_query_id{1};
+
+/// The candidate loop of UPDATE and DELETE: calls `visit` on every row
+/// of `table` that satisfies `predicate` (bound from `where`; every row
+/// when both are null). When a conjunct of `where` matches an index
+/// (MatchIndexAccess, the binder's access-path matcher), only the rows
+/// the index returns are fetched, in rid order; otherwise the whole
+/// heap is scanned. Either way the full predicate is re-checked on each
+/// candidate, and `token` is polled once per heap page. The loop only
+/// reads, so callers collect first and apply after: an abort changes
+/// nothing, and no row is visited twice.
+Status ForEachMatchingRow(
+    TableInfo* table, const ParsedExpr* where, const BoundExpr* predicate,
+    const CancellationToken& token,
+    const std::function<Status(Rid, const Row&)>& visit) {
+  PageId polled = kInvalidPageId;
+  auto consider = [&](Rid rid, const std::string& bytes) -> Status {
+    if (rid.page_id != polled) {
+      WSQ_RETURN_IF_ERROR(token.CheckAlive());
+      polled = rid.page_id;
+    }
+    WSQ_ASSIGN_OR_RETURN(Row row, DeserializeRow(bytes));
+    if (predicate != nullptr) {
+      WSQ_ASSIGN_OR_RETURN(bool match, EvalPredicate(*predicate, row));
+      if (!match) return Status::OK();
+    }
+    return visit(rid, row);
+  };
+
+  std::optional<IndexAccess> access;
+  if (where != nullptr) {
+    std::vector<const ParsedExpr*> conjuncts;
+    CollectConjuncts(*where, &conjuncts);
+    access = MatchIndexAccess(
+        *table, conjuncts,
+        [&](const ColumnRefExpr& ref) -> std::optional<size_t> {
+          auto found = table->schema().Find(ref.qualifier(), ref.name());
+          if (!found.ok()) return std::nullopt;
+          return *found;
+        });
+  }
+  if (access.has_value()) {
+    WSQ_ASSIGN_OR_RETURN(std::vector<Rid> rids,
+                         access->index->Search(access->range));
+    // Rid order visits each heap page once.
+    std::sort(rids.begin(), rids.end(), [](Rid a, Rid b) {
+      return a.page_id != b.page_id ? a.page_id < b.page_id
+                                    : a.slot < b.slot;
+    });
+    for (Rid rid : rids) {
+      WSQ_ASSIGN_OR_RETURN(std::string bytes, table->heap()->Get(rid));
+      WSQ_RETURN_IF_ERROR(consider(rid, bytes));
+    }
+    return Status::OK();
+  }
+
+  HeapFileScanner scanner(table->heap());
+  Rid rid;
+  std::string bytes;
+  while (true) {
+    WSQ_ASSIGN_OR_RETURN(bool more, scanner.Next(&rid, &bytes));
+    if (!more) return Status::OK();
+    WSQ_RETURN_IF_ERROR(consider(rid, bytes));
+  }
+}
 
 }  // namespace
 
@@ -455,9 +522,11 @@ Result<QueryExecution> WsqDatabase::ExecuteInternal(
     case Statement::Kind::kInsert:
       return ExecuteInsert(static_cast<const InsertStatement&>(*stmt));
     case Statement::Kind::kDelete:
-      return ExecuteDelete(static_cast<const DeleteStatement&>(*stmt));
+      return ExecuteDelete(static_cast<const DeleteStatement&>(*stmt),
+                           token);
     case Statement::Kind::kUpdate:
-      return ExecuteUpdate(static_cast<const UpdateStatement&>(*stmt));
+      return ExecuteUpdate(static_cast<const UpdateStatement&>(*stmt),
+                           token);
     case Statement::Kind::kExplain: {
       const auto& explain = static_cast<const ExplainStatement&>(*stmt);
       if (explain.analyze) {
@@ -684,7 +753,7 @@ Result<QueryExecution> WsqDatabase::ExecuteInsert(
 }
 
 Result<QueryExecution> WsqDatabase::ExecuteDelete(
-    const DeleteStatement& stmt) {
+    const DeleteStatement& stmt, const CancellationToken* token) {
   WSQ_ASSIGN_OR_RETURN(TableInfo * table, catalog_.GetTable(stmt.table));
   BoundExprPtr predicate;
   if (stmt.where != nullptr) {
@@ -695,21 +764,12 @@ Result<QueryExecution> WsqDatabase::ExecuteDelete(
   // Collect matching rids first, then tombstone (no iterator
   // invalidation concerns).
   std::vector<Rid> victims;
-  {
-    HeapFileScanner scanner(table->heap());
-    Rid rid;
-    std::string bytes;
-    while (true) {
-      WSQ_ASSIGN_OR_RETURN(bool more, scanner.Next(&rid, &bytes));
-      if (!more) break;
-      if (predicate != nullptr) {
-        WSQ_ASSIGN_OR_RETURN(Row row, DeserializeRow(bytes));
-        WSQ_ASSIGN_OR_RETURN(bool match, EvalPredicate(*predicate, row));
-        if (!match) continue;
-      }
-      victims.push_back(rid);
-    }
-  }
+  WSQ_RETURN_IF_ERROR(ForEachMatchingRow(
+      table, stmt.where.get(), predicate.get(), *token,
+      [&](Rid rid, const Row&) {
+        victims.push_back(rid);
+        return Status::OK();
+      }));
   for (const Rid& rid : victims) {
     WSQ_RETURN_IF_ERROR(table->Delete(rid));  // maintains indexes
   }
@@ -722,7 +782,7 @@ Result<QueryExecution> WsqDatabase::ExecuteDelete(
 }
 
 Result<QueryExecution> WsqDatabase::ExecuteUpdate(
-    const UpdateStatement& stmt) {
+    const UpdateStatement& stmt, const CancellationToken* token) {
   WSQ_ASSIGN_OR_RETURN(TableInfo * table, catalog_.GetTable(stmt.table));
   const Schema& schema = table->schema();
 
@@ -746,31 +806,24 @@ Result<QueryExecution> WsqDatabase::ExecuteUpdate(
   }
 
   // Materialize the new rows first, then delete + reinsert (a tombstone
-  // plus append; rids are not stable across updates).
+  // plus append; rids are not stable across updates). Materializing
+  // first also keeps a row whose new key still lies in the index range
+  // from being updated twice.
   std::vector<std::pair<Rid, Row>> updates;
-  {
-    HeapFileScanner scanner(table->heap());
-    Rid rid;
-    std::string bytes;
-    while (true) {
-      WSQ_ASSIGN_OR_RETURN(bool more, scanner.Next(&rid, &bytes));
-      if (!more) break;
-      WSQ_ASSIGN_OR_RETURN(Row row, DeserializeRow(bytes));
-      if (predicate != nullptr) {
-        WSQ_ASSIGN_OR_RETURN(bool match, EvalPredicate(*predicate, row));
-        if (!match) continue;
-      }
-      Row updated = row;
-      for (const auto& [col, value] : assignments) {
-        WSQ_ASSIGN_OR_RETURN(Value v, value->Eval(row));
-        if (schema.column(col).type == TypeId::kDouble && v.is_int()) {
-          v = Value::Real(static_cast<double>(v.AsInt()));
+  WSQ_RETURN_IF_ERROR(ForEachMatchingRow(
+      table, stmt.where.get(), predicate.get(), *token,
+      [&](Rid rid, const Row& row) -> Status {
+        Row updated = row;
+        for (const auto& [col, value] : assignments) {
+          WSQ_ASSIGN_OR_RETURN(Value v, value->Eval(row));
+          if (schema.column(col).type == TypeId::kDouble && v.is_int()) {
+            v = Value::Real(static_cast<double>(v.AsInt()));
+          }
+          updated.value(col) = std::move(v);
         }
-        updated.value(col) = std::move(v);
-      }
-      updates.emplace_back(rid, std::move(updated));
-    }
-  }
+        updates.emplace_back(rid, std::move(updated));
+        return Status::OK();
+      }));
   for (auto& [rid, row] : updates) {
     WSQ_RETURN_IF_ERROR(table->Delete(rid));  // maintains indexes
     WSQ_RETURN_IF_ERROR(table->Insert(row));

@@ -271,8 +271,14 @@ class WsqDatabase {
   Result<QueryExecution> ExecuteCreateIndex(
       const CreateIndexStatement& stmt);
   Result<QueryExecution> ExecuteInsert(const InsertStatement& stmt);
-  Result<QueryExecution> ExecuteDelete(const DeleteStatement& stmt);
-  Result<QueryExecution> ExecuteUpdate(const UpdateStatement& stmt);
+  /// UPDATE and DELETE find their rows through the same index access
+  /// path as SELECT (a heap scan only when no conjunct is sargable) and
+  /// poll `token` while they look; an abort before the apply phase
+  /// leaves the table unchanged.
+  Result<QueryExecution> ExecuteDelete(const DeleteStatement& stmt,
+                                       const CancellationToken* token);
+  Result<QueryExecution> ExecuteUpdate(const UpdateStatement& stmt,
+                                       const CancellationToken* token);
 
   Options options_;
   std::unique_ptr<DiskManager> owned_disk_;  // null for OpenWithStorage

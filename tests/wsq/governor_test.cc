@@ -107,6 +107,37 @@ TEST(GovernorTest, DeadlineDoesNotPerturbFastQueries) {
   }
 }
 
+// UPDATE and DELETE poll the statement's token while they look for
+// rows. A deadline that expires during the scan of a large unindexed
+// table aborts them before the apply phase, so nothing changes.
+TEST(GovernorTest, DeadlineAbortsUnindexedDmlBeforeItChangesAnything) {
+  WsqDatabase db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE Big (K INT, V INT)").ok());
+  TableInfo* t = *db.catalog()->GetTable("Big");
+  constexpr int kRows = 100000;
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(t->Insert(Row({Value::Int(i), Value::Int(i % 7)})).ok());
+  }
+  auto sum = [&db] {
+    auto r = db.Execute("SELECT COUNT(*), SUM(V) FROM Big");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r->result.rows[0].ToString() : std::string();
+  };
+  const std::string before = sum();
+
+  WsqDatabase::ExecOptions options;
+  options.deadline_micros = 2000;  // far shorter than a 100k-row scan
+  for (const char* sql : {"DELETE FROM Big WHERE V >= 0",
+                          "UPDATE Big SET V = V + 1 WHERE V >= 0"}) {
+    auto r = db.Execute(sql, options);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
+        << sql << ": " << r.status().ToString();
+  }
+  EXPECT_EQ(*t->NumRows(), kRows);
+  EXPECT_EQ(sum(), before);
+}
+
 // Several queries with private tokens racing a canceller thread: every
 // Execute must terminate with OK or kCancelled, and the pump ledger
 // must balance afterwards (TSan target).

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
 
+#include "storage/heap_file.h"
 #include "wsq/database.h"
 
 namespace wsq {
@@ -230,6 +232,190 @@ TEST_F(IndexTest, WsqQueryWithIndexedStoredFilter) {
       "SELECT K, V FROM T WHERE K = 'k5' ORDER BY V", /*async=*/true);
   ASSERT_TRUE(plan.ok());
   EXPECT_NE(plan->find("IndexScan"), std::string::npos) << *plan;
+}
+
+// UPDATE/DELETE take the same index access path as SELECT. Each case
+// runs one statement against an indexed table (A) and an identical
+// unindexed one (B); the affected-row counts, the outcome and the final
+// contents must match.
+class DmlAccessPathTest : public ::testing::Test {
+ protected:
+  DmlAccessPathTest() {
+    for (const char* t : {"A", "B"}) {
+      EXPECT_TRUE(db_.Execute(std::string("CREATE TABLE ") + t +
+                              " (k INT, s STRING, d DOUBLE, bal INT)")
+                      .ok());
+      TableInfo* table = *db_.catalog()->GetTable(t);
+      // 50 keys, 4 rows each (duplicate index keys), and 3 NULL keys.
+      for (int i = 0; i < 200; ++i) {
+        EXPECT_TRUE(table
+                        ->Insert(Row({Value::Int(i % 50),
+                                      Value::Str("s" + std::to_string(i % 25)),
+                                      Value::Real(i % 20), Value::Int(i)}))
+                        .ok());
+      }
+      for (int i = 0; i < 3; ++i) {
+        EXPECT_TRUE(table
+                        ->Insert(Row({Value::Null(), Value::Str("none"),
+                                      Value::Null(), Value::Int(500 + i)}))
+                        .ok());
+      }
+    }
+    EXPECT_TRUE(db_.Execute("CREATE INDEX a_k ON A (k)").ok());
+    EXPECT_TRUE(db_.Execute("CREATE INDEX a_s ON A (s)").ok());
+    EXPECT_TRUE(db_.Execute("CREATE INDEX a_d ON A (d)").ok());
+  }
+
+  static std::string For(std::string sql, const std::string& table) {
+    for (size_t at; (at = sql.find("{T}")) != std::string::npos;) {
+      sql.replace(at, 3, table);
+    }
+    return sql;
+  }
+
+  std::vector<Row> Contents(const std::string& table) {
+    auto r = db_.Execute("SELECT k, s, d, bal FROM " + table +
+                         " ORDER BY bal, k, s, d");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r->result.rows : std::vector<Row>{};
+  }
+
+  // Runs `sql` (with {T} naming the table) on both tables and returns
+  // the affected-row count, or -1 when both failed the same way.
+  int64_t RunOnBoth(const std::string& sql) {
+    auto indexed = db_.Execute(For(sql, "A"));
+    auto scanned = db_.Execute(For(sql, "B"));
+    EXPECT_EQ(indexed.ok(), scanned.ok())
+        << sql << "\nindexed: " << indexed.status().ToString()
+        << "\nscanned: " << scanned.status().ToString();
+    std::vector<Row> a = Contents("A");
+    std::vector<Row> b = Contents("B");
+    EXPECT_EQ(a.size(), b.size()) << sql;
+    for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
+      EXPECT_EQ(a[i], b[i]) << sql << " row " << i;
+    }
+    TableInfo* t = *db_.catalog()->GetTable("A");
+    for (const auto& index : t->indexes()) {
+      EXPECT_TRUE(index->tree()->CheckInvariants().ok()) << index->name();
+    }
+    if (!indexed.ok() || !scanned.ok()) {
+      EXPECT_EQ(indexed.status().code(), scanned.status().code()) << sql;
+      return -1;
+    }
+    int64_t count = indexed->result.rows[0].value(0).AsInt();
+    EXPECT_EQ(count, scanned->result.rows[0].value(0).AsInt()) << sql;
+    return count;
+  }
+
+  WsqDatabase db_;
+};
+
+TEST_F(DmlAccessPathTest, EqualityOnIndexedInt) {
+  EXPECT_EQ(RunOnBoth("DELETE FROM {T} WHERE k = 7"), 4);
+  EXPECT_EQ(RunOnBoth("UPDATE {T} SET bal = bal + 1 WHERE {T}.k = 8"), 4);
+  EXPECT_EQ(RunOnBoth("DELETE FROM {T} WHERE 9 = k"), 4);
+}
+
+TEST_F(DmlAccessPathTest, EqualityOnIndexedString) {
+  EXPECT_EQ(RunOnBoth("DELETE FROM {T} WHERE s = 's3'"), 8);
+  EXPECT_EQ(RunOnBoth("UPDATE {T} SET s = 'moved' WHERE s = 's4'"), 8);
+  EXPECT_EQ(RunOnBoth("UPDATE {T} SET bal = 0 WHERE s = 'moved'"), 8);
+  // Longer than any index key: matches nothing instead of failing.
+  EXPECT_EQ(RunOnBoth("DELETE FROM {T} WHERE s = '" +
+                      std::string(BPlusTree::kMaxKeyBytes, 'x') + "'"),
+            0);
+}
+
+TEST_F(DmlAccessPathTest, IndexedDoubleComparedWithIntLiteral) {
+  EXPECT_EQ(RunOnBoth("UPDATE {T} SET bal = 0 WHERE d = 5"), 10);
+  EXPECT_EQ(RunOnBoth("DELETE FROM {T} WHERE d = 6"), 10);
+  EXPECT_EQ(RunOnBoth("DELETE FROM {T} WHERE d >= 17 AND d < 19"), 20);
+}
+
+TEST_F(DmlAccessPathTest, EqualityPlusUnindexedConjunct) {
+  EXPECT_EQ(RunOnBoth("DELETE FROM {T} WHERE k = 9 AND bal > 100"), 2);
+  EXPECT_EQ(
+      RunOnBoth("UPDATE {T} SET bal = bal * 2 WHERE bal < 120 AND k = 10"),
+      3);
+}
+
+TEST_F(DmlAccessPathTest, Range) {
+  EXPECT_EQ(RunOnBoth("DELETE FROM {T} WHERE k >= 20 AND k < 25"), 20);
+  EXPECT_EQ(RunOnBoth("UPDATE {T} SET bal = -bal WHERE k > 45"), 16);
+  EXPECT_EQ(RunOnBoth("DELETE FROM {T} WHERE k <= 2 AND k < 40 AND k > 0"),
+            8);
+}
+
+TEST_F(DmlAccessPathTest, NullKeyMatchesNothing) {
+  EXPECT_EQ(RunOnBoth("DELETE FROM {T} WHERE k = NULL"), 0);
+  EXPECT_EQ(RunOnBoth("UPDATE {T} SET bal = 0 WHERE k = NULL"), 0);
+}
+
+TEST_F(DmlAccessPathTest, TypeMismatchKeepsScanOutcome) {
+  RunOnBoth("DELETE FROM {T} WHERE k = 'abc'");
+  RunOnBoth("UPDATE {T} SET bal = 0 WHERE k = 'abc'");
+}
+
+TEST_F(DmlAccessPathTest, OrFallsBackToScan) {
+  EXPECT_EQ(RunOnBoth("DELETE FROM {T} WHERE k = 1 OR k = 2"), 8);
+  EXPECT_EQ(RunOnBoth("UPDATE {T} SET bal = 1 WHERE k = 3 OR s = 's4'"), 12);
+}
+
+TEST_F(DmlAccessPathTest, KeyMovedWithinRangeIsUpdatedOnce) {
+  EXPECT_EQ(
+      RunOnBoth("UPDATE {T} SET k = k + 1000 WHERE k >= 10 AND k < 20"),
+      40);
+  auto moved = db_.Execute(
+      "SELECT COUNT(*) FROM A WHERE k >= 1010 AND k < 1020");
+  ASSERT_TRUE(moved.ok());
+  EXPECT_EQ(moved->result.rows[0].value(0).AsInt(), 40);
+  auto twice = db_.Execute("SELECT COUNT(*) FROM A WHERE k >= 2000");
+  ASSERT_TRUE(twice.ok());
+  EXPECT_EQ(twice->result.rows[0].value(0).AsInt(), 0);
+}
+
+// The access path, checked by pages fetched rather than by time: a DML
+// statement by indexed key reads the tree and its matches, never the
+// whole heap.
+TEST(DmlPageFetchTest, IndexedDmlFetchesFarFewerPagesThanTheHeap) {
+  WsqDatabase db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE Big (k INT, bal INT, note STRING)")
+                  .ok());
+  TableInfo* t = *db.catalog()->GetTable("Big");
+  for (int i = 0; i < 20000; ++i) {
+    ASSERT_TRUE(t->Insert(Row({Value::Int(i), Value::Int(i),
+                               Value::Str("note-" + std::to_string(i))}))
+                    .ok());
+  }
+  ASSERT_TRUE(db.Execute("CREATE INDEX big_k ON Big (k)").ok());
+
+  std::set<PageId> heap_pages;
+  HeapFileScanner scanner(t->heap());
+  Rid rid;
+  while (*scanner.Next(&rid, nullptr)) heap_pages.insert(rid.page_id);
+  ASSERT_GE(heap_pages.size(), 100u);
+
+  BufferPool* pool = db.buffer_pool();
+  auto fetches = [pool] {
+    BufferPoolStats s = pool->stats();
+    return s.hits + s.misses;
+  };
+  for (const char* sql :
+       {"DELETE FROM Big WHERE k = 12345",
+        "UPDATE Big SET bal = bal + 1 WHERE k = 777",
+        "UPDATE Big SET k = k + 100000 WHERE k >= 500 AND k < 503",
+        "DELETE FROM Big WHERE k = 4321 AND bal > 0"}) {
+    uint64_t before = fetches();
+    auto r = db.Execute(sql);
+    ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    EXPECT_GE(r->result.rows[0].value(0).AsInt(), 1) << sql;
+    // Tree descents, the matched rows, their removal and re-insert.
+    EXPECT_LT(fetches() - before, 64u) << sql;
+  }
+  // An unindexed predicate still scans every page.
+  uint64_t before = fetches();
+  ASSERT_TRUE(db.Execute("DELETE FROM Big WHERE bal = -1").ok());
+  EXPECT_GE(fetches() - before, heap_pages.size()) << "scan fallback";
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <map>
 
 #include "catalog/catalog_serde.h"
 #include "storage/checksum.h"
@@ -25,6 +26,85 @@ class PersistenceTest : public ::testing::Test {
 
   std::string path_;
 };
+
+// Index-driven UPDATE/DELETE leave heap and B+ tree consistent on disk:
+// after a checkpoint and reopen, every key reads the same through the
+// IndexScan as through a full scan.
+TEST_F(PersistenceTest, IndexDrivenDmlSurvivesCheckpointAndReopen) {
+  constexpr int kKeys = 3000;
+  std::map<int64_t, int64_t> expected;  // k -> bal
+  {
+    auto db = WsqDatabase::Open(path_).value();
+    ASSERT_TRUE(db->Execute("CREATE TABLE Acct (K INT, Bal INT)").ok());
+    TableInfo* t = *db->catalog()->GetTable("Acct");
+    for (int i = 0; i < kKeys; ++i) {
+      ASSERT_TRUE(t->Insert(Row({Value::Int(i), Value::Int(i)})).ok());
+      expected[i] = i;
+    }
+    ASSERT_TRUE(db->Execute("CREATE INDEX acct_k ON Acct (K)").ok());
+    for (int i = 0; i < kKeys; i += 3) {
+      ASSERT_TRUE(
+          db->Execute("DELETE FROM Acct WHERE K = " + std::to_string(i))
+              .ok());
+      expected.erase(i);
+    }
+    for (int i = 1; i < kKeys; i += 3) {
+      ASSERT_TRUE(db->Execute("UPDATE Acct SET Bal = Bal + 1000000 "
+                              "WHERE K = " +
+                              std::to_string(i))
+                      .ok());
+      expected[i] += 1000000;
+    }
+    ASSERT_TRUE(db->Execute("UPDATE Acct SET K = K + 10000 "
+                            "WHERE K >= 2000 AND K < 2300")
+                    .ok());
+    for (int i = 2000; i < 2300; ++i) {
+      auto it = expected.find(i);
+      if (it == expected.end()) continue;
+      expected[i + 10000] = it->second;
+      expected.erase(it);
+    }
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  auto db = WsqDatabase::Open(path_).value();
+  TableInfo* t = *db->catalog()->GetTable("Acct");
+  ASSERT_EQ(t->indexes().size(), 1u);
+  const BPlusTree* tree = t->indexes()[0]->tree();
+  ASSERT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_EQ(*tree->Count(), static_cast<int64_t>(expected.size()));
+
+  // `K + 0` is no column reference, so this plans a full scan.
+  auto scanned = db->Execute("SELECT K, Bal FROM Acct WHERE K + 0 >= 0");
+  ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+  std::map<int64_t, int64_t> heap;
+  for (const Row& row : scanned->result.rows) {
+    EXPECT_TRUE(heap.emplace(row.value(0).AsInt(), row.value(1).AsInt())
+                    .second)
+        << "duplicate key " << row.value(0).AsInt();
+  }
+  EXPECT_EQ(heap, expected);
+
+  auto plan = db->ExplainSelect("SELECT Bal FROM Acct WHERE K = 1",
+                                /*async=*/false);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan->find("IndexScan"), std::string::npos) << *plan;
+  std::vector<int64_t> probes;  // every key ever written
+  for (int64_t k = 0; k < kKeys; ++k) probes.push_back(k);
+  for (int64_t k = 12000; k < 12300; ++k) probes.push_back(k);
+  for (int64_t k : probes) {
+    auto r = db->Execute("SELECT Bal FROM Acct WHERE K = " +
+                         std::to_string(k));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    auto it = heap.find(k);
+    if (it == heap.end()) {
+      EXPECT_TRUE(r->result.rows.empty()) << "key " << k;
+    } else {
+      ASSERT_EQ(r->result.rows.size(), 1u) << "key " << k;
+      EXPECT_EQ(r->result.rows[0].value(0).AsInt(), it->second)
+          << "key " << k;
+    }
+  }
+}
 
 TEST_F(PersistenceTest, FreshDatabaseOpensEmpty) {
   auto db = WsqDatabase::Open(path_);
