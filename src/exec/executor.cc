@@ -27,7 +27,7 @@ Result<std::unique_ptr<VScanOperator>> BuildVScan(const EVScanNode& node,
     scan = std::move(async_scan);
   } else {
     auto sync_scan = std::make_unique<EVScanOperator>(
-        &node, &ctx->sync_external_calls);
+        &node, &ctx->stats.external_calls);
     sync_scan->SetShardOptions(ctx->shard);
     scan = std::move(sync_scan);
   }

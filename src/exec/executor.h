@@ -1,7 +1,6 @@
 #ifndef WSQ_EXEC_EXECUTOR_H_
 #define WSQ_EXEC_EXECUTOR_H_
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -11,6 +10,7 @@
 #include "exec/operator.h"
 #include "net/shard_policy.h"
 #include "obs/op_profile.h"
+#include "obs/query_stats.h"
 #include "obs/trace.h"
 #include "plan/logical_plan.h"
 
@@ -18,12 +18,9 @@ namespace wsq {
 
 class SpillManager;  // storage/spill.h
 
-/// Shared execution state: the ReqPump for asynchronous calls plus a
-/// counter of synchronous (blocking) external calls, so QueryStats can
-/// report call counts for both execution strategies. The degradation
-/// counters are bumped by ReqSync operators applying an OnCallError
-/// policy (kDropTuple / kNullPad) so QueryStats can report how much of
-/// the answer was affected by failed external calls.
+/// Shared execution state: the ReqPump for asynchronous calls, the
+/// per-query governor, budget and tracer, and the QueryStats the
+/// operators fill in as they run.
 struct ExecContext {
   ReqPump* pump = nullptr;
   /// Per-query governor state: deadline + cooperative cancellation.
@@ -47,31 +44,11 @@ struct ExecContext {
   /// Spill scratch-file factory; null disables spilling (a failed
   /// reservation then fails the query with kResourceExhausted).
   SpillManager* spill = nullptr;
-  std::atomic<uint64_t> sync_external_calls{0};
-  /// External calls that completed with a non-OK status.
-  std::atomic<uint64_t> failed_calls{0};
-  /// Tuples cancelled under OnCallError::kDropTuple.
-  std::atomic<uint64_t> dropped_tuples{0};
-  /// Tuples completed with NULLs under OnCallError::kNullPad.
-  std::atomic<uint64_t> null_padded_tuples{0};
-  /// Outstanding external calls cancelled by the Close cascade of an
-  /// aborted (cancelled / deadline-expired) query.
-  std::atomic<uint64_t> cancelled_calls{0};
-  /// Pending tuples shed by a ReqSync buffer budget in shed-oldest mode.
-  std::atomic<uint64_t> shed_tuples{0};
-  /// Peak pending tuples / approximate bytes buffered by any ReqSync
-  /// (max across operators; see ReqSyncNode::max_buffered_rows).
-  std::atomic<uint64_t> reqsync_peak_rows{0};
-  std::atomic<uint64_t> reqsync_peak_bytes{0};
-  /// External calls that completed OK but merged from a strict subset
-  /// of shards (quorum / best-effort degradation), and the total shards
-  /// missing across those calls (CallResult::degraded_shards).
-  std::atomic<uint64_t> partial_results{0};
-  std::atomic<uint64_t> degraded_shards{0};
-  /// Memory governor: bytes written to spill runs / runs written by
-  /// Sort+Aggregate operators degrading under a failed reservation.
-  std::atomic<uint64_t> spilled_bytes{0};
-  std::atomic<uint64_t> spill_runs{0};
+  /// The query's stats, bumped directly by the operators (blocking
+  /// external calls, failed calls, degraded tuples, ReqSync peaks,
+  /// partial results, spill activity). Every bump happens inside an
+  /// operator's Open/Next/Close on the query thread, so no atomics.
+  QueryStats stats;
 };
 
 /// A fully-materialized query result.

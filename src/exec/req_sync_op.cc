@@ -7,16 +7,6 @@
 
 namespace wsq {
 
-namespace {
-void UpdateMax(std::atomic<uint64_t>* target, uint64_t value) {
-  uint64_t cur = target->load(std::memory_order_relaxed);
-  while (value > cur &&
-         !target->compare_exchange_weak(cur, value,
-                                        std::memory_order_relaxed)) {
-  }
-}
-}  // namespace
-
 void ReqSyncOperator::BlockedWait(uint64_t seq) {
   if (!profiling() && tracer() == nullptr) {
     pump_->WaitForCompletionBeyond(seq, cancel_token());
@@ -56,8 +46,11 @@ void ReqSyncOperator::AddEntry(Row row, std::set<CallId> pending) {
   peak_buffered_ = std::max(peak_buffered_, entries_.size());
   peak_buffered_bytes_ = std::max(peak_buffered_bytes_, buffered_bytes_);
   if (ctx_ != nullptr) {
-    UpdateMax(&ctx_->reqsync_peak_rows, entries_.size());
-    UpdateMax(&ctx_->reqsync_peak_bytes, buffered_bytes_);
+    QueryStats& stats = ctx_->stats;
+    stats.peak_buffered_rows =
+        std::max<uint64_t>(stats.peak_buffered_rows, entries_.size());
+    stats.peak_buffered_bytes =
+        std::max<uint64_t>(stats.peak_buffered_bytes, buffered_bytes_);
   }
 }
 
@@ -100,7 +93,7 @@ void ReqSyncOperator::ShedToBudget() {
     mem_.Subtract(it->second.bytes);
     entries_.erase(it);
     ++shed_tuples_;
-    if (ctx_ != nullptr) ++ctx_->shed_tuples;
+    if (ctx_ != nullptr) ++ctx_->stats.shed_tuples;
   }
 }
 
@@ -192,7 +185,7 @@ Result<Row> ReqSyncOperator::PatchRow(const Row& row, CallId call,
 
 Status ReqSyncOperator::DegradeFailedCall(CallId call,
                                           const Status& error) {
-  if (ctx_ != nullptr) ++ctx_->failed_calls;
+  if (ctx_ != nullptr) ++ctx_->stats.failed_calls;
 
   // Un-register the call first in every policy: its result has already
   // been consumed, so leaving it in waiters_ would make Close() block
@@ -217,7 +210,7 @@ Status ReqSyncOperator::DegradeFailedCall(CallId call,
       mem_.Subtract(it->second.bytes);
       entries_.erase(it);
       ++dropped_tuples_;
-      if (ctx_ != nullptr) ++ctx_->dropped_tuples;
+      if (ctx_ != nullptr) ++ctx_->stats.dropped_tuples;
       continue;
     }
 
@@ -238,7 +231,7 @@ Status ReqSyncOperator::DegradeFailedCall(CallId call,
       }
     }
     ++null_padded_tuples_;
-    if (ctx_ != nullptr) ++ctx_->null_padded_tuples;
+    if (ctx_ != nullptr) ++ctx_->stats.null_padded_tuples;
     if (entry.pending.empty()) {
       ready_.push_back(std::move(padded));
     } else {
@@ -276,8 +269,8 @@ Status ReqSyncOperator::ProcessCompletion(CallId call,
     // surfaced in QueryStats and EXPLAIN ANALYZE.
     CountPartialResult(result.degraded_shards);
     if (ctx_ != nullptr) {
-      ++ctx_->partial_results;
-      ctx_->degraded_shards += result.degraded_shards;
+      ++ctx_->stats.partial_results;
+      ctx_->stats.degraded_shards += result.degraded_shards;
     }
     if (tracer() != nullptr) {
       tracer()->Event("reqsync", "partial",
@@ -327,7 +320,7 @@ Status ReqSyncOperator::CloseImpl() {
   const bool aborted = !CheckAlive().ok();
   for (const auto& [call, ids] : waiters_) {
     if (aborted && pump_->CancelCall(call)) {
-      if (ctx_ != nullptr) ++ctx_->cancelled_calls;
+      if (ctx_ != nullptr) ++ctx_->stats.cancelled_calls;
     }
     // Reap only: the query is over, the result (and its error, if any)
     // no longer has a consumer.

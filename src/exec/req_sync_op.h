@@ -34,7 +34,7 @@ namespace wsq {
 /// response to a full buffer is backpressure: stop pulling from the
 /// child and process completions until there is room, so the calls
 /// already in flight drain the buffer. With shed_oldest the oldest
-/// pending tuple is dropped instead (ExecContext::shed_tuples); its
+/// pending tuple is dropped instead (QueryStats::shed_tuples); its
 /// calls are still reaped at Close.
 ///
 /// Memory governance: every buffered tuple's bytes are also charged to

@@ -8,7 +8,7 @@ namespace wsq {
 
 Status SeqScanOperator::OpenImpl() {
   // std::optional::emplace — constructs one scanner, grows nothing.
-  // wsqlint: allow(unbounded-op-growth)
+  // wsqcheck: allow(unbounded-op-growth)
   scanner_.emplace(node_->table());
   return Status::OK();
 }
@@ -114,9 +114,7 @@ Status EVScanOperator::OpenImpl() {
   // it for a query that is already cancelled or past its deadline.
   WSQ_RETURN_IF_ERROR(CheckAlive());
   WSQ_ASSIGN_OR_RETURN(VTableRequest request, BuildRequest());
-  if (call_counter_ != nullptr) {
-    call_counter_->fetch_add(1, std::memory_order_relaxed);
-  }
+  if (call_counter_ != nullptr) ++*call_counter_;
   CountCallIssued();
   if (tracer() != nullptr) {
     // The blocking fetch is the whole cost of a synchronous EVScan; one

@@ -1,7 +1,6 @@
 #ifndef WSQ_EXEC_SCAN_OPS_H_
 #define WSQ_EXEC_SCAN_OPS_H_
 
-#include <atomic>
 #include <optional>
 #include <vector>
 
@@ -80,7 +79,7 @@ class EVScanOperator : public VScanBase {
   /// `call_counter` (optional) is bumped once per blocking external
   /// call, for QueryStats.
   EVScanOperator(const EVScanNode* node,
-                 std::atomic<uint64_t>* call_counter = nullptr)
+                 uint64_t* call_counter = nullptr)
       : VScanBase(node), call_counter_(call_counter) {}
 
   Status OpenImpl() override;
@@ -88,7 +87,7 @@ class EVScanOperator : public VScanBase {
   Status CloseImpl() override;
 
  private:
-  std::atomic<uint64_t>* call_counter_;
+  uint64_t* call_counter_;
   std::vector<Row> rows_;
   size_t next_ = 0;
 };

@@ -102,8 +102,8 @@ Status SortOperator::SpillBatch(std::vector<Keyed>* batch) {
   mem_.ReleaseAll();
   CountSpill(run.bytes, 1);
   if (ctx_ != nullptr) {
-    ctx_->spilled_bytes.fetch_add(run.bytes, std::memory_order_relaxed);
-    ctx_->spill_runs.fetch_add(1, std::memory_order_relaxed);
+    ctx_->stats.spilled_bytes += run.bytes;
+    ++ctx_->stats.spill_runs;
   }
   if (tracer() != nullptr) {
     tracer()->Event("op", "spill",
@@ -346,8 +346,8 @@ Status AggregateOperator::SpillGroups(GroupMap* groups) {
   mem_.ReleaseAll();
   CountSpill(run.bytes, 1);
   if (ctx_ != nullptr) {
-    ctx_->spilled_bytes.fetch_add(run.bytes, std::memory_order_relaxed);
-    ctx_->spill_runs.fetch_add(1, std::memory_order_relaxed);
+    ctx_->stats.spilled_bytes += run.bytes;
+    ++ctx_->stats.spill_runs;
   }
   if (tracer() != nullptr) {
     tracer()->Event("op", "spill",

@@ -36,7 +36,7 @@ FaultInjectingSearchService::~FaultInjectingSearchService() {
   MutexLock lock(&mu_);
   // Bounded: ReleaseHung() above resolved every parked call, so the
   // remaining completions are already running to their finish.
-  // wsqlint: allow(cancel-blind-wait)
+  // wsqcheck: allow(cancel-blind-wait)
   while (outstanding_ != 0) cv_.Wait(mu_);
 }
 

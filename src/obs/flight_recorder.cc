@@ -316,31 +316,11 @@ std::vector<FrEvent> FlightRecorder::EventsForQuery(uint64_t query_id) const {
 /// Postmortems.
 
 std::string PostmortemRecord::ToText() const {
-  std::string out = StrFormat("postmortem id=%llu verdict=%s",
-                              (unsigned long long)query_id, verdict.c_str());
+  std::string out =
+      StrFormat("postmortem id=%llu verdict=%s",
+                (unsigned long long)stats.query_id, verdict.c_str());
   if (!cause.empty()) out += StrFormat(" cause=\"%s\"", cause.c_str());
-  out += StrFormat(" elapsed=%lldus", (long long)elapsed_micros);
-  if (partial_results) out += " partial=1";
-  if (degraded_tuples > 0) {
-    out += StrFormat(" degraded_tuples=%llu",
-                     (unsigned long long)degraded_tuples);
-  }
-  if (external_calls > 0) {
-    out += StrFormat(" external_calls=%llu",
-                     (unsigned long long)external_calls);
-  }
-  if (failed_calls > 0) {
-    out += StrFormat(" failed_calls=%llu", (unsigned long long)failed_calls);
-  }
-  if (spill_runs > 0) {
-    out += StrFormat(" spill_runs=%llu spilled_bytes=%llu",
-                     (unsigned long long)spill_runs,
-                     (unsigned long long)spilled_bytes);
-  }
-  if (peak_memory_bytes > 0) {
-    out += StrFormat(" peak_memory_bytes=%llu",
-                     (unsigned long long)peak_memory_bytes);
-  }
+  out += " " + stats.ToKeyValues();
   std::string one_line_sql = sql;
   for (char& c : one_line_sql) {
     if (c == '\n' || c == '\r') c = ' ';

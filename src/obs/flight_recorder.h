@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
+#include "obs/query_stats.h"
 
 namespace wsq {
 
@@ -248,24 +249,16 @@ class FlightRecorder {
 /// Postmortems.
 
 /// Snapshot of one bad query ending: the flight-recorder slice for that
-/// query plus the final QueryStats fields that matter for forensics.
+/// query plus its final QueryStats.
 struct PostmortemRecord {
-  uint64_t query_id = 0;
+  QueryStats stats;
   std::string sql;
   /// Status code name ("DEADLINE_EXCEEDED") or "OK" for degraded-but-ok
   /// endings (partial results / degraded tuples / spill trouble).
   std::string verdict;
   /// Free-form one-line reason ("2 of 3 shards answered", ...).
   std::string cause;
-  int64_t elapsed_micros = 0;
   bool ok = false;
-  bool partial_results = false;
-  uint64_t degraded_tuples = 0;
-  uint64_t external_calls = 0;
-  uint64_t failed_calls = 0;
-  uint64_t spilled_bytes = 0;
-  uint64_t spill_runs = 0;
-  uint64_t peak_memory_bytes = 0;
   /// This query's event slice, ordered; bounded by the log's
   /// max_events.
   std::vector<FrEvent> events;

@@ -7,11 +7,11 @@
 namespace wsq {
 
 std::string FormatMicros(int64_t micros) {
-  if (micros < 1000) return StrFormat("%lld us", (long long)micros);
+  if (micros < 1000) return StrFormat("%lldus", (long long)micros);
   if (micros < 1000000) {
-    return StrFormat("%.1f ms", static_cast<double>(micros) / 1000.0);
+    return StrFormat("%.1fms", static_cast<double>(micros) / 1000.0);
   }
-  return StrFormat("%.2f s", static_cast<double>(micros) / 1e6);
+  return StrFormat("%.2fs", static_cast<double>(micros) / 1e6);
 }
 
 uint64_t PlanProfileNode::TotalCallsIssued() const {

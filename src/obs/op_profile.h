@@ -59,8 +59,9 @@ struct PlanProfileNode {
   int64_t TotalBlockedMicros() const;
 };
 
-/// "417 us" / "30.1 ms" / "2.50 s" — compact duration for plan
-/// annotations and slow-query lines.
+/// "417us" / "30.1ms" / "2.50s" — compact duration for plan
+/// annotations and QueryStats::ToKeyValues. No embedded space, so
+/// `key=<duration>` stays one token.
 std::string FormatMicros(int64_t micros);
 
 }  // namespace wsq

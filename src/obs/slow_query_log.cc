@@ -10,36 +10,10 @@
 namespace wsq {
 
 std::string SlowQueryRecord::ToLine() const {
-  std::string out = StrFormat("slow_query id=%llu elapsed=%s threshold=%s",
-                              (unsigned long long)query_id,
-                              FormatMicros(elapsed_micros).c_str(),
-                              FormatMicros(threshold_micros).c_str());
-  out += StrFormat(" mode=%s", async_iteration ? "async" : "sync");
-  out += StrFormat(" rows=%zu", rows);
-  if (external_calls > 0) {
-    out += StrFormat(" external_calls=%llu", (unsigned long long)external_calls);
-  }
-  if (failed_calls > 0) {
-    out += StrFormat(" failed_calls=%llu", (unsigned long long)failed_calls);
-  }
-  if (degraded_tuples > 0) {
-    out +=
-        StrFormat(" degraded_tuples=%llu", (unsigned long long)degraded_tuples);
-  }
-  if (partial_results > 0) {
-    out += StrFormat(" partial_results=%llu degraded_shards=%llu",
-                     (unsigned long long)partial_results,
-                     (unsigned long long)degraded_shards);
-  }
-  if (spill_runs > 0) {
-    out += StrFormat(" spill_runs=%llu spilled_bytes=%llu",
-                     (unsigned long long)spill_runs,
-                     (unsigned long long)spilled_bytes);
-  }
-  if (peak_memory_bytes > 0) {
-    out += StrFormat(" peak_memory_bytes=%llu",
-                     (unsigned long long)peak_memory_bytes);
-  }
+  std::string out = StrFormat("slow_query id=%llu threshold=%s rows=%zu ",
+                              (unsigned long long)stats.query_id,
+                              FormatMicros(threshold_micros).c_str(), rows);
+  out += stats.ToKeyValues();
   if (!ok) {
     out += StrFormat(" error=%s", error.empty() ? "UNKNOWN" : error.c_str());
   }
@@ -64,7 +38,9 @@ int64_t SlowQueryLog::NowMicros() const {
 bool SlowQueryLog::MaybeLog(SlowQueryRecord record, int64_t threshold_override) {
   int64_t threshold =
       threshold_override >= 0 ? threshold_override : threshold_micros_;
-  if (threshold <= 0 || record.elapsed_micros < threshold) return false;
+  if (threshold <= 0 || record.stats.elapsed_micros < threshold) {
+    return false;
+  }
   record.threshold_micros = threshold;
   logged_total_.fetch_add(1, std::memory_order_relaxed);
   if (sink_) {

@@ -6,36 +6,26 @@
 #include <functional>
 #include <string>
 
+#include "obs/query_stats.h"
+
 namespace wsq {
 
 /// One-line structured record for a query that exceeded the slow-query
 /// threshold.
 struct SlowQueryRecord {
-  uint64_t query_id = 0;
+  /// The query's record; stats.elapsed_micros is what the threshold is
+  /// checked against.
+  QueryStats stats;
   std::string sql;
-  int64_t elapsed_micros = 0;
   int64_t threshold_micros = 0;
   bool ok = true;
   /// Status code name for failed queries ("DEADLINE_EXCEEDED", ...).
   std::string error;
   size_t rows = 0;
-  uint64_t external_calls = 0;
-  uint64_t failed_calls = 0;
-  /// Tuples dropped or NULL-padded by a degradation policy.
-  uint64_t degraded_tuples = 0;
-  /// External calls that answered OK from a strict subset of their
-  /// backend's shards, and the total shards missing across them.
-  uint64_t partial_results = 0;
-  uint64_t degraded_shards = 0;
-  /// Memory governor: spill activity and the reservation high-water
-  /// mark for the query.
-  uint64_t spilled_bytes = 0;
-  uint64_t spill_runs = 0;
-  uint64_t peak_memory_bytes = 0;
-  bool async_iteration = false;
 
-  /// `slow_query id=7 elapsed=1.20 s ... sql="SELECT ..."` — key=value
-  /// pairs, sql last (it is the only field that can contain spaces).
+  /// `slow_query id=7 threshold=1.00s rows=5 elapsed=1.20s ...
+  /// sql="SELECT ..."`: after the tag, key=value pairs with no space in
+  /// any value, sql last (the only field that can contain spaces).
   std::string ToLine() const;
 };
 

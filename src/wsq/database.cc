@@ -390,9 +390,6 @@ Result<QueryExecution> WsqDatabase::Execute(const std::string& sql,
   if (latency != nullptr) latency->RecordWithExemplar(elapsed, query_id);
   if (!result.ok() && errors != nullptr) errors->Increment();
 
-  // Stats for forensics: the successful execution's, or whatever the
-  // query accumulated before it died.
-  const QueryStats* stats = &failure_stats;
   if (result.ok()) {
     result->stats.query_id = query_id;
     // Prefer the executor's own elapsed time for SELECTs (it excludes
@@ -400,13 +397,15 @@ Result<QueryExecution> WsqDatabase::Execute(const std::string& sql,
     if (result->stats.elapsed_micros == 0) {
       result->stats.elapsed_micros = elapsed;
     }
-    stats = &result->stats;
   }
-  const uint64_t degraded_tuples = stats->dropped_tuples +
-                                   stats->null_padded_tuples +
-                                   stats->shed_tuples;
+  // Stats for forensics: the successful execution's, or whatever the
+  // query accumulated before it died, timed by the wrapper (what the
+  // caller waited).
+  QueryStats stats = result.ok() ? result->stats : failure_stats;
+  stats.query_id = query_id;
+  stats.elapsed_micros = elapsed;
   const bool degraded =
-      stats->partial_results > 0 || degraded_tuples > 0;
+      stats.partial_results > 0 || stats.degraded_tuples() > 0;
   recorder->Record(FrEventType::kQueryEnd, /*destination=*/"",
                    result.ok()
                        ? (degraded ? "degraded" : "")
@@ -414,21 +413,13 @@ Result<QueryExecution> WsqDatabase::Execute(const std::string& sql,
                    query_id, elapsed);
 
   SlowQueryRecord record;
-  record.query_id = query_id;
+  record.stats = stats;
   record.sql = sql;
-  record.elapsed_micros = elapsed;
   record.ok = result.ok();
   if (result.ok()) record.rows = result->result.rows.size();
-  if (!result.ok()) record.error = result.status().ToString();
-  record.external_calls = stats->external_calls;
-  record.failed_calls = stats->failed_calls;
-  record.degraded_tuples = degraded_tuples;
-  record.partial_results = stats->partial_results;
-  record.degraded_shards = stats->degraded_shards;
-  record.spilled_bytes = stats->spilled_bytes;
-  record.spill_runs = stats->spill_runs;
-  record.peak_memory_bytes = stats->peak_memory_bytes;
-  record.async_iteration = stats->async_iteration;
+  if (!result.ok()) {
+    record.error = std::string(StatusCodeToString(result.status().code()));
+  }
   slow_query_log_.MaybeLog(std::move(record), options.slow_query_micros);
 
   // Postmortem trigger: any failed statement, and any OK statement that
@@ -436,31 +427,23 @@ Result<QueryExecution> WsqDatabase::Execute(const std::string& sql,
   // shed tuples). Steady-state success emits nothing.
   if (!result.ok() || degraded) {
     PostmortemRecord pm;
-    pm.query_id = query_id;
+    pm.stats = stats;
     pm.sql = sql;
     pm.ok = result.ok();
-    pm.elapsed_micros = elapsed;
     if (result.ok()) {
       pm.verdict = "OK";
-      pm.cause = stats->partial_results > 0
+      pm.cause = stats.partial_results > 0
                      ? StrFormat("partial results from %llu call(s), %llu "
                                  "shard(s) missing",
-                                 (unsigned long long)stats->partial_results,
-                                 (unsigned long long)stats->degraded_shards)
+                                 (unsigned long long)stats.partial_results,
+                                 (unsigned long long)stats.degraded_shards)
                      : StrFormat("%llu tuple(s) degraded",
-                                 (unsigned long long)degraded_tuples);
+                                 (unsigned long long)stats.degraded_tuples());
     } else {
       pm.verdict = std::string(
           StatusCodeToString(result.status().code()));
       pm.cause = result.status().message();
     }
-    pm.partial_results = stats->partial_results > 0;
-    pm.degraded_tuples = degraded_tuples;
-    pm.external_calls = stats->external_calls;
-    pm.failed_calls = stats->failed_calls;
-    pm.spilled_bytes = stats->spilled_bytes;
-    pm.spill_runs = stats->spill_runs;
-    pm.peak_memory_bytes = stats->peak_memory_bytes;
     pm.events = recorder->EventsForQuery(query_id);
     postmortem_log_.Log(std::move(pm));
   }
@@ -540,12 +523,8 @@ Result<QueryExecution> WsqDatabase::ExecuteInternal(
             ExecuteSelect(*explain.select, run, token, failure_stats));
         std::string text;
         if (exec.profile.has_value()) text = exec.profile->ToString();
-        text += StrFormat(
-            "-- rows=%llu elapsed=%s external_calls=%llu mode=%s\n",
-            static_cast<unsigned long long>(exec.result.rows.size()),
-            FormatMicros(exec.stats.elapsed_micros).c_str(),
-            static_cast<unsigned long long>(exec.stats.external_calls),
-            exec.stats.async_iteration ? "async" : "sync");
+        text += ExplainAnalyzeFooter(exec.result.rows.size(), exec.stats) +
+                "\n";
         QueryExecution out;
         out.stats = exec.stats;
         out.profile = std::move(exec.profile);
@@ -654,21 +633,12 @@ Result<QueryExecution> WsqDatabase::ExecuteSelect(
                        options.analyze ? &profile : nullptr);
   }();
   auto fill_stats = [&](QueryStats* stats) {
+    *stats = ctx.stats;
     stats->elapsed_micros = timer.ElapsedMicros();
-    stats->external_calls = pump_.stats().registered - calls_before +
-                            ctx.sync_external_calls.load();
+    // The operators counted the blocking calls; the pump counted the
+    // asynchronous ones.
+    stats->external_calls += pump_.stats().registered - calls_before;
     stats->async_iteration = options.async_iteration;
-    stats->failed_calls = ctx.failed_calls.load();
-    stats->dropped_tuples = ctx.dropped_tuples.load();
-    stats->null_padded_tuples = ctx.null_padded_tuples.load();
-    stats->cancelled_calls = ctx.cancelled_calls.load();
-    stats->shed_tuples = ctx.shed_tuples.load();
-    stats->peak_buffered_rows = ctx.reqsync_peak_rows.load();
-    stats->peak_buffered_bytes = ctx.reqsync_peak_bytes.load();
-    stats->partial_results = ctx.partial_results.load();
-    stats->degraded_shards = ctx.degraded_shards.load();
-    stats->spilled_bytes = ctx.spilled_bytes.load();
-    stats->spill_runs = ctx.spill_runs.load();
     stats->peak_memory_bytes = query_budget.peak_used();
     stats->pressure_released_bytes =
         query_budget.stats().pressure_released_bytes +

@@ -12,6 +12,7 @@
 #include "net/search_service.h"
 #include "obs/flight_recorder.h"
 #include "obs/op_profile.h"
+#include "obs/query_stats.h"
 #include "obs/slow_query_log.h"
 #include "obs/trace.h"
 #include "plan/async_rewriter.h"
@@ -24,47 +25,6 @@
 #include "wsq/admission.h"
 
 namespace wsq {
-
-/// Observability for one executed query.
-struct QueryStats {
-  /// Process-unique query id (also tags the slow-query log line).
-  uint64_t query_id = 0;
-  int64_t elapsed_micros = 0;
-  /// External (search engine) calls issued by this query.
-  uint64_t external_calls = 0;
-  /// Whether asynchronous iteration was used.
-  bool async_iteration = false;
-  /// External calls that completed with an error (including deadline
-  /// timeouts) and were handled by a ReqSync.
-  uint64_t failed_calls = 0;
-  /// Tuples cancelled under OnCallError::kDropTuple.
-  uint64_t dropped_tuples = 0;
-  /// Tuples completed with NULLs under OnCallError::kNullPad.
-  uint64_t null_padded_tuples = 0;
-  /// Outstanding external calls cancelled when the query was aborted
-  /// (deadline exceeded / explicit cancel).
-  uint64_t cancelled_calls = 0;
-  /// Pending tuples dropped by a ReqSync shed-oldest buffer budget.
-  uint64_t shed_tuples = 0;
-  /// Peak pending tuples / approximate bytes buffered by any ReqSync.
-  uint64_t peak_buffered_rows = 0;
-  uint64_t peak_buffered_bytes = 0;
-  /// External calls that answered OK but from a strict subset of their
-  /// backend's shards (quorum / best-effort degradation), and the total
-  /// shards missing across those calls. Nonzero means counts in the
-  /// result are lower bounds.
-  uint64_t partial_results = 0;
-  uint64_t degraded_shards = 0;
-  /// Memory governor: bytes written to spill runs (Sort/Aggregate
-  /// degrading to external algorithms) and the number of runs.
-  uint64_t spilled_bytes = 0;
-  uint64_t spill_runs = 0;
-  /// High-water mark of the query's tracked reservations.
-  uint64_t peak_memory_bytes = 0;
-  /// Bytes freed by pressure callbacks (result cache / buffer pool
-  /// shedding) on behalf of this query's reservations.
-  uint64_t pressure_released_bytes = 0;
-};
 
 struct QueryExecution {
   ResultSet result;

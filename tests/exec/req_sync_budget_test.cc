@@ -105,7 +105,7 @@ TEST(ReqSyncBudgetTest, BackpressureKeepsPeakRowsUnderBudget) {
   EXPECT_EQ(out->size(), static_cast<size_t>(kRows));
   EXPECT_LE(op.peak_buffered(), kBudget);
   EXPECT_EQ(op.shed_tuples(), 0u);
-  EXPECT_EQ(ctx.reqsync_peak_rows.load(), op.peak_buffered());
+  EXPECT_EQ(ctx.stats.peak_buffered_rows, op.peak_buffered());
   pump.Drain();
   EXPECT_EQ(pump.pending_results(), 0u);
 }
@@ -137,7 +137,7 @@ TEST(ReqSyncBudgetTest, BackpressureKeepsPeakBytesNearBudget) {
   // A pull happens only while strictly under the byte budget, so the
   // peak can overshoot by at most one tuple.
   EXPECT_LT(op.peak_buffered_bytes(), byte_budget + one_row_bytes);
-  EXPECT_EQ(ctx.reqsync_peak_bytes.load(), op.peak_buffered_bytes());
+  EXPECT_EQ(ctx.stats.peak_buffered_bytes, op.peak_buffered_bytes());
   pump.Drain();
 }
 
@@ -174,7 +174,7 @@ TEST(ReqSyncBudgetTest, ShedOldestDropsButCompletes) {
   EXPECT_EQ(got[0], kRows - 2);
   EXPECT_EQ(got[1], kRows - 1);
   EXPECT_EQ(op.shed_tuples(), static_cast<uint64_t>(kRows - kBudget));
-  EXPECT_EQ(ctx.shed_tuples.load(), op.shed_tuples());
+  EXPECT_EQ(ctx.stats.shed_tuples, op.shed_tuples());
   EXPECT_LE(op.peak_buffered(), kBudget);
   // Shed tuples' calls are still reaped: nothing leaks in the hash.
   pump.Drain();

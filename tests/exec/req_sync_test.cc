@@ -253,8 +253,8 @@ TEST_F(ReqSyncOpTest, DropTuplePolicyCancelsWaitingTuples) {
   }
   EXPECT_EQ(dropped, 1u);
   EXPECT_EQ(padded, 0u);
-  EXPECT_EQ(ctx.dropped_tuples.load(), 1u);
-  EXPECT_EQ(ctx.failed_calls.load(), 1u);
+  EXPECT_EQ(ctx.stats.dropped_tuples, 1u);
+  EXPECT_EQ(ctx.stats.failed_calls, 1u);
 }
 
 TEST_F(ReqSyncOpTest, NullPadPolicyCompletesTuplesWithNulls) {
@@ -279,7 +279,7 @@ TEST_F(ReqSyncOpTest, NullPadPolicyCompletesTuplesWithNulls) {
   }
   EXPECT_EQ(padded, 1u);
   EXPECT_EQ(dropped, 0u);
-  EXPECT_EQ(ctx.null_padded_tuples.load(), 1u);
+  EXPECT_EQ(ctx.stats.null_padded_tuples, 1u);
 }
 
 TEST_F(ReqSyncOpTest, NullPadKeepsOtherPendingCallsAlive) {

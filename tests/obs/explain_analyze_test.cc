@@ -88,6 +88,8 @@ TEST(ExplainAnalyzeTest, SqlStatementReturnsAnnotatedPlan) {
   EXPECT_NE(text.find("blocked="), std::string::npos) << text;
   EXPECT_NE(text.find("mode=async"), std::string::npos) << text;
   EXPECT_NE(text.find("external_calls="), std::string::npos) << text;
+  // The footer is the shared QueryStats rendering.
+  EXPECT_NE(text.find(r->stats.ToKeyValues()), std::string::npos) << text;
 
   // EXPLAIN ANALYZE SYNC runs the sequential plan: no ReqSync.
   auto sync = Env().db().Execute(
@@ -187,8 +189,8 @@ TEST(ExplainAnalyzeTest, SlowQueryLogFiresFromExecute) {
   auto r = db.Execute("SELECT x FROM t");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[1].query_id, r->stats.query_id);
-  EXPECT_GT(r->stats.query_id, seen[0].query_id);
+  EXPECT_EQ(seen[1].stats.query_id, r->stats.query_id);
+  EXPECT_GT(r->stats.query_id, seen[0].stats.query_id);
   EXPECT_EQ(seen[1].sql, "SELECT x FROM t");
   EXPECT_TRUE(seen[1].ok);
 

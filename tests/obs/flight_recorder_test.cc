@@ -166,17 +166,18 @@ TEST(FlightRecorderTest, ConcurrentWritersVersusSnapshotDuringWrap) {
 
 TEST(PostmortemTest, ToTextRendersHeaderAndIndentedEvents) {
   PostmortemRecord pm;
-  pm.query_id = 7;
+  pm.stats.query_id = 7;
   pm.sql = "SELECT *\nFROM t";
   pm.verdict = "DEADLINE_EXCEEDED";
   pm.cause = "deadline of 50000us exceeded";
-  pm.elapsed_micros = 51000;
-  pm.partial_results = true;
-  pm.degraded_tuples = 2;
-  pm.failed_calls = 1;
-  pm.spill_runs = 1;
-  pm.spilled_bytes = 8192;
-  pm.peak_memory_bytes = 65536;
+  pm.stats.elapsed_micros = 51000;
+  pm.stats.partial_results = 3;
+  pm.stats.degraded_shards = 4;
+  pm.stats.null_padded_tuples = 2;
+  pm.stats.failed_calls = 1;
+  pm.stats.spill_runs = 1;
+  pm.stats.spilled_bytes = 8192;
+  pm.stats.peak_memory_bytes = 65536;
   FrEvent e1;
   e1.timestamp_micros = 1000;
   e1.type = FrEventType::kCallDispatch;
@@ -197,7 +198,13 @@ TEST(PostmortemTest, ToTextRendersHeaderAndIndentedEvents) {
   EXPECT_NE(text.find("cause=\"deadline of 50000us exceeded\""),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("partial=1"), std::string::npos) << text;
+  // The partial-result count survives into the header, with the
+  // missing-shard total beside it.
+  EXPECT_NE(text.find("partial_results=3 degraded_shards=4"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("degraded_tuples=2"), std::string::npos) << text;
+  EXPECT_NE(text.find("elapsed=51.0ms"), std::string::npos) << text;
   EXPECT_NE(text.find("spill_runs=1 spilled_bytes=8192"), std::string::npos)
       << text;
   EXPECT_NE(text.find("peak_memory_bytes=65536"), std::string::npos) << text;
@@ -216,7 +223,7 @@ TEST(PostmortemTest, ToTextRendersHeaderAndIndentedEvents) {
 
 PostmortemRecord MakePostmortem(uint64_t qid, size_t num_events = 0) {
   PostmortemRecord pm;
-  pm.query_id = qid;
+  pm.stats.query_id = qid;
   pm.sql = "SELECT 1";
   pm.verdict = "OK";
   pm.cause = "1 tuple(s) degraded";
@@ -236,7 +243,9 @@ TEST(PostmortemTest, LogRateLimitsButRetainsLast) {
   std::vector<uint64_t> emitted;
   PostmortemLog log(
       /*min_interval_micros=*/1000,
-      [&emitted](const PostmortemRecord& r) { emitted.push_back(r.query_id); },
+      [&emitted](const PostmortemRecord& r) {
+        emitted.push_back(r.stats.query_id);
+      },
       /*clock=*/[&now] { return now; });
 
   EXPECT_TRUE(log.Log(MakePostmortem(1)));
@@ -257,7 +266,7 @@ TEST(PostmortemTest, LogRateLimitsButRetainsLast) {
   EXPECT_FALSE(log.Log(MakePostmortem(4)));
   auto last = log.last();
   ASSERT_NE(last, nullptr);
-  EXPECT_EQ(last->query_id, 4u);
+  EXPECT_EQ(last->stats.query_id, 4u);
 }
 
 TEST(PostmortemTest, LogTruncatesEventSliceFromTheFront) {

@@ -1,12 +1,18 @@
 // Slow-query log: threshold semantics (database default, per-query
 // override, disabled), sink capture, counters, and the injectable
-// clock that keeps the tests deterministic.
+// clock that keeps the tests deterministic. Also pins the one
+// QueryStats renderer the slow-query line, the postmortem header and
+// the EXPLAIN ANALYZE footer share.
 
 #include <gtest/gtest.h>
 
+#include <regex>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/flight_recorder.h"
+#include "obs/query_stats.h"
 #include "obs/slow_query_log.h"
 
 namespace wsq {
@@ -14,12 +20,12 @@ namespace {
 
 SlowQueryRecord MakeRecord(int64_t elapsed_micros) {
   SlowQueryRecord r;
-  r.query_id = 42;
+  r.stats.query_id = 42;
   r.sql = "SELECT Name, Count FROM States, WebCount WHERE Name = T1";
-  r.elapsed_micros = elapsed_micros;
+  r.stats.elapsed_micros = elapsed_micros;
   r.rows = 5;
-  r.external_calls = 50;
-  r.async_iteration = true;
+  r.stats.external_calls = 50;
+  r.stats.async_iteration = true;
   return r;
 }
 
@@ -36,7 +42,7 @@ TEST(SlowQueryLogTest, LogsAtOrAboveThresholdOnly) {
   EXPECT_EQ(log.logged_total(), 2u);
   // The effective threshold is stamped into the emitted record.
   EXPECT_EQ(seen[0].threshold_micros, 1000);
-  EXPECT_EQ(seen[0].elapsed_micros, 1000);
+  EXPECT_EQ(seen[0].stats.elapsed_micros, 1000);
 }
 
 TEST(SlowQueryLogTest, DisabledByDefaultAndByZeroOverride) {
@@ -82,14 +88,15 @@ TEST(SlowQueryLogTest, FakeClockDrivesNowMicros) {
                        [&now] { return now; });
   EXPECT_TRUE(capture.MaybeLog(MakeRecord(elapsed)));
   ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0].elapsed_micros, 750);
+  EXPECT_EQ(seen[0].stats.elapsed_micros, 750);
 }
 
 TEST(SlowQueryLogTest, ToLineRendersKeyValuePairsWithSqlLast) {
   SlowQueryRecord r = MakeRecord(1'234'567);
   r.threshold_micros = 1'000'000;
-  r.failed_calls = 2;
-  r.degraded_tuples = 3;
+  r.stats.failed_calls = 2;
+  r.stats.dropped_tuples = 1;
+  r.stats.shed_tuples = 2;
   std::string line = r.ToLine();
   EXPECT_NE(line.find("slow_query"), std::string::npos) << line;
   EXPECT_NE(line.find("id=42"), std::string::npos) << line;
@@ -119,11 +126,11 @@ TEST(SlowQueryLogTest, ToLineRendersKeyValuePairsWithSqlLast) {
 
 TEST(SlowQueryLogTest, ToLineCarriesDegradationAndMemoryFields) {
   SlowQueryRecord r = MakeRecord(1'000);
-  r.partial_results = 2;
-  r.degraded_shards = 3;
-  r.spilled_bytes = 4096;
-  r.spill_runs = 2;
-  r.peak_memory_bytes = 1 << 20;
+  r.stats.partial_results = 2;
+  r.stats.degraded_shards = 3;
+  r.stats.spilled_bytes = 4096;
+  r.stats.spill_runs = 2;
+  r.stats.peak_memory_bytes = 1 << 20;
   std::string line = r.ToLine();
   EXPECT_NE(line.find("partial_results=2"), std::string::npos) << line;
   EXPECT_NE(line.find("degraded_shards=3"), std::string::npos) << line;
@@ -139,6 +146,78 @@ TEST(SlowQueryLogTest, ToLineCarriesDegradationAndMemoryFields) {
   EXPECT_EQ(clean.find("partial_results="), std::string::npos) << clean;
   EXPECT_EQ(clean.find("spill_runs="), std::string::npos) << clean;
   EXPECT_EQ(clean.find("peak_memory_bytes="), std::string::npos) << clean;
+}
+
+TEST(SlowQueryLogTest, EveryTokenBeforeSqlIsKeyValue) {
+  SlowQueryRecord r = MakeRecord(1'234'567);  // renders "1.23s"
+  r.threshold_micros = 1'000'000;
+  r.ok = false;
+  r.error = "DEADLINE_EXCEEDED";
+  r.stats.failed_calls = 1;
+  r.stats.partial_results = 1;
+  r.stats.degraded_shards = 2;
+  std::string line = r.ToLine();
+  size_t sql_pos = line.find(" sql=\"");
+  ASSERT_NE(sql_pos, std::string::npos) << line;
+
+  std::istringstream tokens(line.substr(0, sql_pos));
+  std::string token;
+  ASSERT_TRUE(tokens >> token);
+  EXPECT_EQ(token, "slow_query");  // the record tag, then key=value only
+  const std::regex key_value("[a-z_]+=[^=\\s]+");
+  int pairs = 0;
+  while (tokens >> token) {
+    EXPECT_TRUE(std::regex_match(token, key_value))
+        << "'" << token << "' in " << line;
+    ++pairs;
+  }
+  EXPECT_GE(pairs, 8) << line;
+  EXPECT_NE(line.find(" elapsed=1.23s "), std::string::npos) << line;
+  EXPECT_NE(line.find(" threshold=1.00s "), std::string::npos) << line;
+}
+
+TEST(SlowQueryLogTest, OneRendererForAllThreeQueryRecords) {
+  QueryStats stats;
+  stats.query_id = 9;
+  stats.elapsed_micros = 2'500;
+  stats.external_calls = 50;
+  stats.async_iteration = true;
+  stats.failed_calls = 4;
+  stats.dropped_tuples = 1;
+  stats.null_padded_tuples = 2;
+  stats.cancelled_calls = 3;
+  stats.shed_tuples = 3;
+  stats.peak_buffered_rows = 7;
+  stats.peak_buffered_bytes = 700;
+  stats.partial_results = 5;
+  stats.degraded_shards = 6;
+  stats.spilled_bytes = 8192;
+  stats.spill_runs = 2;
+  stats.peak_memory_bytes = 65536;
+  stats.pressure_released_bytes = 1024;
+  EXPECT_EQ(stats.degraded_tuples(), 6u);
+
+  const std::string rendered = stats.ToKeyValues();
+  for (const char* expected :
+       {"elapsed=2.5ms", "mode=async", "external_calls=50", "failed_calls=4",
+        "degraded_tuples=6", "partial_results=5 degraded_shards=6",
+        "spill_runs=2 spilled_bytes=8192", "peak_memory_bytes=65536"}) {
+    EXPECT_NE(rendered.find(expected), std::string::npos)
+        << expected << " in " << rendered;
+  }
+
+  SlowQueryRecord slow;
+  slow.stats = stats;
+  slow.sql = "SELECT 1";
+  PostmortemRecord pm;
+  pm.stats = stats;
+  pm.sql = "SELECT 1";
+  pm.verdict = "OK";
+
+  EXPECT_NE(slow.ToLine().find(rendered), std::string::npos)
+      << slow.ToLine();
+  EXPECT_NE(pm.ToText().find(rendered), std::string::npos) << pm.ToText();
+  EXPECT_EQ(ExplainAnalyzeFooter(12, stats), "-- rows=12 " + rendered);
 }
 
 }  // namespace

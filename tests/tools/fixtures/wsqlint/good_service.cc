@@ -14,7 +14,7 @@ class Careful final : public SearchService {
   ~Careful() {
     MutexLock lock(&mu_);
     // Bounded: no new calls can start during destruction.
-    // wsqlint: allow(cancel-blind-wait)
+    // wsqcheck: allow(cancel-blind-wait)
     while (outstanding_ != 0) cv_.Wait(mu_);
   }
 

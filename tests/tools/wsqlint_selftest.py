@@ -3,7 +3,7 @@
 
 Each fixture under fixtures/wsqlint/ starts with a marker comment:
 
-    // wsqlint-fixture: dest=src/net/foo.cc expect=cancel-blind-wait:1
+    // wsqlint-fixture: dest=src/net/foo.cc expect=submit-drops-callback:1
 
 The driver copies the fixture to `dest` inside a throwaway repo root,
 runs wsqlint over it, and asserts the expected findings fire exactly

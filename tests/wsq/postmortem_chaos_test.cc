@@ -138,7 +138,7 @@ TEST(PostmortemChaosTest, EveryBadEndingYieldsExactlyOnePostmortem) {
   size_t degraded_seen = 0;
   size_t failed_seen = 0;
   for (const PostmortemRecord& pm : records) {
-    EXPECT_NE(pm.query_id, 0u);
+    EXPECT_NE(pm.stats.query_id, 0u);
     EXPECT_FALSE(pm.sql.empty());
     EXPECT_FALSE(pm.verdict.empty());
     EXPECT_FALSE(pm.cause.empty());
@@ -148,16 +148,16 @@ TEST(PostmortemChaosTest, EveryBadEndingYieldsExactlyOnePostmortem) {
       // matched — never two for the same query.
       size_t matches = 0;
       for (uint64_t id : expected_bad_ids) {
-        if (id == pm.query_id) ++matches;
+        if (id == pm.stats.query_id) ++matches;
       }
-      EXPECT_EQ(matches, 1u) << "qid " << pm.query_id;
-      EXPECT_TRUE(pm.partial_results);
+      EXPECT_EQ(matches, 1u) << "qid " << pm.stats.query_id;
+      EXPECT_GT(pm.stats.partial_results, 0u);
       EXPECT_NE(pm.cause.find("shard(s) missing"), std::string::npos)
           << pm.cause;
     } else {
       ++failed_seen;
       EXPECT_NE(pm.verdict, "OK");
-      EXPECT_GT(pm.failed_calls, 0u);
+      EXPECT_GT(pm.stats.failed_calls, 0u);
     }
     // The flight-recorder slice names the responsible destination: the
     // query's external calls (and for failures, the failing call or
@@ -173,7 +173,7 @@ TEST(PostmortemChaosTest, EveryBadEndingYieldsExactlyOnePostmortem) {
       }
     }
     EXPECT_TRUE(named_destination)
-        << "postmortem for qid " << pm.query_id
+        << "postmortem for qid " << pm.stats.query_id
         << " names no destination:\n"
         << pm.ToText();
   }
@@ -183,7 +183,7 @@ TEST(PostmortemChaosTest, EveryBadEndingYieldsExactlyOnePostmortem) {
   // \postmortem last surfaces the most recent bad ending.
   auto last = env.db().postmortems()->last();
   ASSERT_NE(last, nullptr);
-  EXPECT_EQ(last->query_id, records.back().query_id);
+  EXPECT_EQ(last->stats.query_id, records.back().stats.query_id);
 }
 
 TEST(PostmortemChaosTest, RateLimitSuppressesButTracksEveryBadEnding) {
@@ -214,7 +214,7 @@ TEST(PostmortemChaosTest, RateLimitSuppressesButTracksEveryBadEnding) {
   EXPECT_EQ(env.db().postmortems()->suppressed_total(), 2u);
   auto last = env.db().postmortems()->last();
   ASSERT_NE(last, nullptr);
-  EXPECT_EQ(last->query_id, last_id);
+  EXPECT_EQ(last->stats.query_id, last_id);
 }
 
 }  // namespace

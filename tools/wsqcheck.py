@@ -28,14 +28,22 @@ need lock *order*, call graphs, or whole-function context:
                         alive. A CondVar wait releases the mutex it is
                         given, so it is flagged only when *another*
                         lock stays held across the wait.
-  cancel-blind-wait     Semantic version of wsqlint's check: an
-                        untimed CondVar::Wait in a function whose whole
-                        body (not a +/-6 line window) never consults a
-                        CancellationToken / shutdown / stop flag.
-  unbounded-op-growth   Semantic version of wsqlint's check: an
-                        OpenImpl/NextImpl body in src/exec growing a
-                        container while the *enclosing function* never
-                        touches the memory-budget API.
+  cancel-blind-wait     An untimed CondVar::Wait in a function whose
+                        whole body never consults a CancellationToken /
+                        shutdown / stop flag. A consumer parked in a
+                        blind Wait cannot observe a query deadline or a
+                        shutting-down pump; poll with WaitForMicros
+                        against a token instead. Provably bounded waits
+                        (destructor drains with no reachable token)
+                        carry an allow() comment.
+  unbounded-op-growth   An OpenImpl/NextImpl body in src/exec that grows
+                        a container while the enclosing function never
+                        touches the memory-budget API (MemoryReservation
+                        TryAdd/ForceAdd, TryReserve, WaitForRoom): an
+                        operator that buffers without charging the
+                        ledger defeats the process-wide governor.
+                        Growth bounded by construction carries an
+                        allow() comment.
   deadline-blind-submit Every SubmitAsync call site must clamp its
                         timeout by the query's remaining budget: the
                         enclosing function must reference
@@ -55,9 +63,6 @@ additionally accepts the comment anchored at the *mutex member
 declaration*: that reads as "blocking under this (and only this) lock
 is the design" — e.g. a mutex that serializes a file handle — and
 suppresses findings whose every held lock carries such an anchor.
-For the two checks shared with wsqlint (cancel-blind-wait,
-unbounded-op-growth) an existing `wsqlint: allow(...)` comment is
-honored too, so one anchored justification covers both tools.
 
 Frontends: with --frontend clang (the CI configuration) the real AST
 of every TU in compile_commands.json is parsed via libclang
@@ -92,11 +97,6 @@ CHECKS = (
     "stale-suppression",
 )
 
-# Checks that also exist in tools/wsqlint.py: an anchored
-# `wsqlint: allow(...)` is honored for these so one justification
-# covers both tools.
-SHARED_WITH_WSQLINT = {"cancel-blind-wait", "unbounded-op-growth"}
-
 # Known-blocking free functions / std calls, matched by the last name
 # of the call chain.
 HARD_BLOCKING_CALLS = {
@@ -115,9 +115,8 @@ HARD_BLOCKING_METHODS = (
     (None, "join"),  # std::thread::join
 )
 
-# Identifiers whose presence marks a function as cancellation-aware
-# (same vocabulary as wsqlint's CANCEL_AWARE, applied to the whole
-# enclosing function instead of a line window).
+# Identifiers whose presence marks a function as cancellation-aware,
+# searched for across the whole enclosing function.
 CANCEL_AWARE = re.compile(r"shutdown|stop|cancel|token", re.I)
 
 # Memory-budget API surface (common/memory.h + ReqSync's WaitForRoom).
@@ -158,15 +157,13 @@ class Finding:
 # Suppressions
 # --------------------------------------------------------------------
 
-ALLOW_RE = re.compile(
-    r"(wsqcheck|wsqlint):\s*allow\(([a-z][a-z0-9-]*)\)")
+ALLOW_RE = re.compile(r"wsqcheck:\s*allow\(([a-z][a-z0-9-]*)\)")
 
 
 class Suppression:
-    def __init__(self, path, line, tool, check):
+    def __init__(self, path, line, check):
         self.path = str(path)
         self.line = line
-        self.tool = tool
         self.check = check
         self.used = False
 
@@ -194,30 +191,27 @@ class Suppressions:
         rel = self._rel(path)
         for i, raw_line in enumerate(text.splitlines(), start=1):
             for m in ALLOW_RE.finditer(raw_line):
-                sup = Suppression(rel, i, m.group(1), m.group(2))
+                sup = Suppression(rel, i, m.group(1))
                 self.by_site.setdefault((sup.path, i), []).append(sup)
                 self.all.append(sup)
 
     def active(self, check, anchors):
         """True if any anchor (path, line) carries a matching allow()
         on that line or the line above. Marks the suppression used."""
-        tools = ("wsqcheck", "wsqlint") if check in SHARED_WITH_WSQLINT \
-            else ("wsqcheck",)
         hit = None
         for (path, line) in anchors:
             for probe in (line, line - 1):
                 for sup in self.by_site.get((str(path), probe), []):
-                    if sup.check == check and sup.tool in tools:
+                    if sup.check == check:
                         hit = sup
                         sup.used = True
         return hit is not None
 
     def stale(self):
-        """wsqcheck-tool suppressions that never fired (wsqlint's own
-        comments are audited by wsqlint itself)."""
+        """Suppressions that never fired."""
         out = []
         for sup in self.all:
-            if sup.tool != "wsqcheck" or sup.used:
+            if sup.used:
                 continue
             if sup.check not in CHECKS:
                 out.append(Finding(

@@ -23,16 +23,6 @@ Checks, in order of how often they have bitten this codebase:
                    reproducible from explicit seeds (common/random.h).
   include-guard    Headers use #ifndef WSQ_<PATH>_H_ guards matching
                    their path (or #pragma once, which we also accept).
-  cancel-blind-wait
-                   Untimed CondVar .Wait( calls in annotated
-                   directories must be cancellation-aware: the
-                   surrounding lines must consult a shutdown/stop flag
-                   or a cancellation token (timed WaitForMicros polls
-                   are always fine). A consumer parked in a blind Wait
-                   cannot observe a query deadline or a shutting-down
-                   pump. Legitimately unconditional waits (destructor
-                   drains with no reachable token) carry a
-                   `wsqlint: allow(cancel-blind-wait)` comment.
   submit-drops-callback
                    SearchService::Submit overrides must not be able to
                    drop their callback: the SearchService contract says
@@ -45,18 +35,6 @@ Checks, in order of how often they have bitten this codebase:
                    the callback at least once. Handoffs the matcher
                    cannot see (e.g. parked earlier on another branch)
                    carry a `wsqlint: allow(submit-drops-callback)`
-                   comment.
-  unbounded-op-growth
-                   OpenImpl/NextImpl bodies in src/exec that grow a
-                   container (push_back / emplace / insert) must go
-                   through the memory-budget API (a MemoryReservation
-                   TryAdd/ForceAdd, a budget TryReserve, or ReqSync's
-                   WaitForRoom) somewhere in the same body: an operator
-                   that buffers unboundedly without charging the ledger
-                   defeats the process-wide governor. Growth that is
-                   bounded by construction (a fixed-arity scratch row,
-                   a per-call batch that is consumed before returning)
-                   carries a `wsqlint: allow(unbounded-op-growth)`
                    comment.
   metric-naming    Metric names passed to MetricsRegistry::Get* and
                    MetricsEmitter::Emit* must be wsq_-prefixed
@@ -77,9 +55,10 @@ The include-guard check also validates that the closing `#endif`
 carries a `// WSQ_..._H_` trailing comment matching the guard, so a
 reader at the bottom of a long header knows which scope just closed.
 
-wsqcheck (tools/wsqcheck.py) is the semantic sister tool: it parses
-real ASTs and honours these same `allow()` comments for the checks the
-two tools share (cancel-blind-wait, unbounded-op-growth).
+Checks that need whole-function context (cancellation-blind waits,
+unbudgeted operator growth, lock order, ...) live in tools/wsqcheck.py,
+which parses the sources and reads its own `wsqcheck: allow()`
+comments.
 
 Exit status: 0 clean, 1 findings, 2 usage/setup error.
 """
@@ -188,21 +167,10 @@ STD_PRIMITIVE = re.compile(
     r"|condition_variable_any)\b")
 MANUAL_LOCK = re.compile(r"[.>]\s*(?:lock|unlock|try_lock)\s*\(")
 GUARDED_BY = re.compile(r"WSQ_(?:PT_)?GUARDED_BY\(\s*(\w+)\s*\)")
-UNTIMED_WAIT = re.compile(r"[.>]\s*Wait\s*\(")
-CANCEL_AWARE = re.compile(r"shutdown|stop|cancel|token", re.I)
-WAIT_SUPPRESS = "wsqlint: allow(cancel-blind-wait)"
 SUBMIT_SIG = re.compile(
     r"\bSubmit\s*\(\s*SearchRequest\s+\w+\s*,\s*"
     r"SearchCallback\s+(\w+)\s*\)\s*(?:override\s*)?\{")
 SUBMIT_SUPPRESS = "wsqlint: allow(submit-drops-callback)"
-OP_IMPL_SIG = re.compile(
-    r"\b\w+::(OpenImpl|NextImpl)\s*\([^)]*\)\s*\{")
-CONTAINER_GROWTH = re.compile(
-    r"[.>]\s*(push_back|emplace_back|emplace|try_emplace|insert)\s*\(")
-BUDGET_API = re.compile(
-    r"\bmem_\b|\bTryAdd\b|\bForceAdd\b|\bTryReserve\b|\bForceReserve\b"
-    r"|\bMemoryReservation\b|\bWaitForRoom\b")
-GROWTH_SUPPRESS = "wsqlint: allow(unbounded-op-growth)"
 METRIC_CALL = re.compile(
     r"\b(GetCounter|GetGauge|GetHistogram"
     r"|EmitCounter|EmitGauge|EmitHistogram)\s*\(\s*\"")
@@ -237,8 +205,7 @@ def line_of(text: str, pos: int) -> int:
 
 
 # Checks a `wsqlint: allow(<name>)` comment may legitimately suppress.
-SUPPRESSIBLE = ("cancel-blind-wait", "submit-drops-callback",
-                "unbounded-op-growth")
+SUPPRESSIBLE = ("submit-drops-callback",)
 ALLOW_RE = re.compile(r"wsqlint:\s*allow\(([a-z][a-z0-9-]*)\)")
 
 
@@ -326,29 +293,6 @@ def check_file(root: pathlib.Path, path: pathlib.Path):
                 "manual lock()/unlock() call; use the MutexLock RAII "
                 "guard (its Lock()/Unlock() members handle re-locking)"))
 
-    # --- cancel-blind-wait ------------------------------------------
-    if annotated and rel not in PRIMITIVE_ALLOWLIST:
-        raw_lines = raw.splitlines()
-        code_lines = code.splitlines()
-        for m in UNTIMED_WAIT.finditer(code):
-            line = line_of(code, m.start())
-            # Cancellation-aware if nearby code consults a shutdown /
-            # stop flag or a cancellation token. Decided BEFORE the
-            # suppression is consulted so an allow() next to a wait
-            # that would not fire reads as stale.
-            lo, hi = max(0, line - 7), min(len(code_lines), line + 6)
-            context = "\n".join(code_lines[lo:hi])
-            if CANCEL_AWARE.search(context):
-                continue
-            if allows.suppressed(line, "cancel-blind-wait"):
-                continue
-            findings.append(Finding(
-                path, line, "cancel-blind-wait",
-                "untimed CondVar Wait with no shutdown/cancellation "
-                "check in sight; poll with WaitForMicros against a "
-                "token, gate on a shutdown flag, or annotate with "
-                f"'{WAIT_SUPPRESS}' if the wait is provably bounded"))
-
     # --- submit-drops-callback --------------------------------------
     # Scans each SearchService::Submit override body: every bare
     # `return;` needs the callback invoked or handed off nearby, and
@@ -356,7 +300,6 @@ def check_file(root: pathlib.Path, path: pathlib.Path):
     # flow analysis — the suppression comment covers handoffs on
     # another branch (e.g. a callback parked in a container earlier).
     if in_src:
-        raw_lines = raw.splitlines()
         for m in SUBMIT_SIG.finditer(code):
             cb = m.group(1)
             # Brace-match the function body.
@@ -395,38 +338,6 @@ def check_file(root: pathlib.Path, path: pathlib.Path):
                     f"'{cb}' in the preceding lines; complete the "
                     "request on every path or annotate with "
                     f"'{SUBMIT_SUPPRESS}'"))
-
-    # --- unbounded-op-growth ----------------------------------------
-    # Scans each out-of-class OpenImpl/NextImpl definition in src/exec:
-    # if the body grows a container anywhere but never touches the
-    # memory-budget API, every growth site is flagged. Heuristic, not
-    # flow analysis — growth bounded by construction carries the
-    # suppression comment.
-    if rel.startswith("src/exec/") and rel.endswith(".cc"):
-        raw_lines = raw.splitlines()
-        for m in OP_IMPL_SIG.finditer(code):
-            depth, i = 1, m.end()
-            while i < len(code) and depth > 0:
-                if code[i] == "{":
-                    depth += 1
-                elif code[i] == "}":
-                    depth -= 1
-                i += 1
-            body = code[m.end():i]
-            if BUDGET_API.search(body):
-                continue
-            body_start_line = line_of(code, m.end())
-            for g in CONTAINER_GROWTH.finditer(body):
-                line = body_start_line + body.count("\n", 0, g.start())
-                if allows.suppressed(line, "unbounded-op-growth"):
-                    continue
-                findings.append(Finding(
-                    path, line, "unbounded-op-growth",
-                    f"{g.group(1)} in an OpenImpl/NextImpl body with no "
-                    "memory-budget accounting (MemoryReservation "
-                    "TryAdd/ForceAdd, TryReserve, or WaitForRoom); "
-                    "charge the ledger or annotate with "
-                    f"'{GROWTH_SUPPRESS}' if growth is bounded"))
 
     # --- iostream ---------------------------------------------------
     if in_src:
