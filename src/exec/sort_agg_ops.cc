@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <utility>
 
 #include "common/macros.h"
@@ -26,55 +27,57 @@ size_t KeysApproxBytes(const std::vector<Value>& keys) {
 /// One spill record: [u32 key_len][key blob][payload blob]. The key
 /// blob is decoded for merge ordering without re-evaluating any
 /// expression; the payload is the data row (Sort) or the flattened
-/// accumulators (Aggregate).
-std::string EncodeSpillRecord(const Row& key_row, const Row& payload) {
-  std::string key_blob = SerializeSpillRow(key_row);
-  std::string record;
-  uint32_t klen = static_cast<uint32_t>(key_blob.size());
-  char len[4];
-  std::memcpy(len, &klen, 4);
-  record.append(len, 4);
-  record += key_blob;
-  record += SerializeSpillRow(payload);
-  return record;
+/// accumulators (Aggregate). Built in `*record`, whose capacity is
+/// reused across the records of a run.
+void EncodeSpillRecord(std::span<const Value> keys,
+                       std::span<const Value> payload,
+                       std::string* record) {
+  record->assign(4, '\0');
+  AppendSpillRow(keys, record);
+  uint32_t klen = static_cast<uint32_t>(record->size() - 4);
+  std::memcpy(record->data(), &klen, 4);
+  AppendSpillRow(payload, record);
 }
 
-Status DecodeSpillRecord(const std::string& record, Row* key_row,
-                         Row* payload) {
+Status DecodeSpillRecord(std::string_view record, std::vector<Value>* keys,
+                         std::vector<Value>* payload) {
   if (record.size() < 4) {
     return Status::DataLoss("spill record truncated: missing key length");
   }
   uint32_t klen;
   std::memcpy(&klen, record.data(), 4);
-  if (record.size() - 4 < klen) {
+  record.remove_prefix(4);
+  if (record.size() < klen) {
     return Status::DataLoss("spill record truncated: key past end");
   }
-  std::string_view rest(record);
-  rest.remove_prefix(4);
-  WSQ_ASSIGN_OR_RETURN(*key_row, DeserializeSpillRow(rest.substr(0, klen)));
-  WSQ_ASSIGN_OR_RETURN(*payload, DeserializeSpillRow(rest.substr(klen)));
-  return Status::OK();
+  WSQ_RETURN_IF_ERROR(DeserializeSpillRow(record.substr(0, klen), keys));
+  return DeserializeSpillRow(record.substr(klen), payload);
 }
 
 }  // namespace
 
 // --- SortOperator ---
 
-bool SortOperator::KeyLess(const std::vector<Value>& a,
-                           const std::vector<Value>& b) const {
+int SortOperator::KeyCompare(const std::vector<Value>& a,
+                             const std::vector<Value>& b) const {
   const auto& key_specs = node_->keys();
   for (size_t i = 0; i < key_specs.size(); ++i) {
     int c = a[i].Compare(b[i]);
     if (c == 0) continue;
-    return key_specs[i].descending ? c > 0 : c < 0;
+    return key_specs[i].descending ? -c : c;
   }
-  return false;
+  return 0;
+}
+
+bool SortOperator::MergeAfter(size_t a, size_t b) const {
+  int c = KeyCompare(merge_[a].keys, merge_[b].keys);
+  return c != 0 ? c > 0 : a > b;
 }
 
 void SortOperator::SortBatch(std::vector<Keyed>* batch) const {
   std::stable_sort(batch->begin(), batch->end(),
                    [this](const Keyed& a, const Keyed& b) {
-                     return KeyLess(a.first, b.first);
+                     return KeyCompare(a.first, b.first) < 0;
                    });
 }
 
@@ -89,10 +92,11 @@ Status SortOperator::SpillBatch(std::vector<Keyed>* batch) {
     WSQ_ASSIGN_OR_RETURN(spill_file_, ctx_->spill->Create());
   }
   SpillWriter writer(spill_file_.get());
+  std::string record;
   for (const Keyed& entry : *batch) {
     WSQ_RETURN_IF_ERROR(CheckAlive());
-    WSQ_RETURN_IF_ERROR(
-        writer.Append(EncodeSpillRecord(Row(entry.first), entry.second)));
+    EncodeSpillRecord(entry.first, entry.second.values(), &record);
+    WSQ_RETURN_IF_ERROR(writer.Append(record));
   }
   WSQ_ASSIGN_OR_RETURN(SpillRun run, writer.Finish());
   runs_.push_back(run);
@@ -117,17 +121,15 @@ Status SortOperator::SpillBatch(std::vector<Keyed>* batch) {
 
 Status SortOperator::AdvanceSource(size_t i) {
   MergeSource& src = merge_[i];
-  std::string record;
-  WSQ_ASSIGN_OR_RETURN(bool more, src.reader->Next(&record));
-  if (!more) {
-    src.done = true;
-    src.keys.clear();
-    src.row = Row();
-    return Status::OK();
-  }
-  Row key_row;
-  WSQ_RETURN_IF_ERROR(DecodeSpillRecord(record, &key_row, &src.row));
-  src.keys = key_row.values();
+  WSQ_ASSIGN_OR_RETURN(bool more, src.reader->Next(&src.record));
+  if (!more) return Status::OK();
+  std::vector<Value> payload;
+  WSQ_RETURN_IF_ERROR(DecodeSpillRecord(src.record, &src.keys, &payload));
+  src.row = Row(std::move(payload));
+  heap_.push_back(i);
+  std::push_heap(heap_.begin(), heap_.end(), [this](size_t a, size_t b) {
+    return MergeAfter(a, b);
+  });
   return Status::OK();
 }
 
@@ -135,6 +137,7 @@ Status SortOperator::OpenImpl() {
   rows_.clear();
   runs_.clear();
   merge_.clear();
+  heap_.clear();
   spill_file_.reset();
   next_ = 0;
   mem_.ReleaseAll();
@@ -212,14 +215,12 @@ Result<bool> SortOperator::NextImpl(Row* row) {
   // K-way merge, smallest key first; ties go to the lowest run index
   // (runs partition the input in order, so this preserves the stable
   // sort's tie order exactly).
-  size_t best = merge_.size();
-  for (size_t i = 0; i < merge_.size(); ++i) {
-    if (merge_[i].done) continue;
-    if (best == merge_.size() || KeyLess(merge_[i].keys, merge_[best].keys)) {
-      best = i;
-    }
-  }
-  if (best == merge_.size()) return false;
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), [this](size_t a, size_t b) {
+    return MergeAfter(a, b);
+  });
+  size_t best = heap_.back();
+  heap_.pop_back();
   *row = std::move(merge_[best].row);
   WSQ_RETURN_IF_ERROR(AdvanceSource(best));
   return true;
@@ -228,6 +229,7 @@ Result<bool> SortOperator::NextImpl(Row* row) {
 Status SortOperator::CloseImpl() {
   rows_.clear();
   merge_.clear();
+  heap_.clear();
   runs_.clear();
   spill_file_.reset();
   mem_.ReleaseAll();
@@ -326,19 +328,22 @@ Status AggregateOperator::SpillGroups(GroupMap* groups) {
     WSQ_ASSIGN_OR_RETURN(spill_file_, ctx_->spill->Create());
   }
   SpillWriter writer(spill_file_.get());
+  std::vector<Value> payload;
+  std::string record;
   for (const auto& [key, accs] : *groups) {
     WSQ_RETURN_IF_ERROR(CheckAlive());
-    Row payload;
+    payload.clear();
     for (const Accumulator& acc : accs) {
-      payload.Append(Value::Int(acc.count));
-      payload.Append(Value::Int(acc.sum_int));
-      payload.Append(Value::Real(acc.sum_double));
-      payload.Append(Value::Int(acc.sum_is_double ? 1 : 0));
-      payload.Append(Value::Int(acc.has_value ? 1 : 0));
-      payload.Append(acc.min);
-      payload.Append(acc.max);
+      payload.push_back(Value::Int(acc.count));
+      payload.push_back(Value::Int(acc.sum_int));
+      payload.push_back(Value::Real(acc.sum_double));
+      payload.push_back(Value::Int(acc.sum_is_double ? 1 : 0));
+      payload.push_back(Value::Int(acc.has_value ? 1 : 0));
+      payload.push_back(acc.min);
+      payload.push_back(acc.max);
     }
-    WSQ_RETURN_IF_ERROR(writer.Append(EncodeSpillRecord(key, payload)));
+    EncodeSpillRecord(key.values(), payload, &record);
+    WSQ_RETURN_IF_ERROR(writer.Append(record));
   }
   WSQ_ASSIGN_OR_RETURN(SpillRun run, writer.Finish());
   runs_.push_back(run);
@@ -385,34 +390,38 @@ void AggregateOperator::MergeAccumulator(const Accumulator& from,
   }
 }
 
+bool AggregateOperator::MergeAfter(size_t a, size_t b) const {
+  int c = merge_[a].key.Compare(merge_[b].key);
+  return c != 0 ? c > 0 : a > b;
+}
+
 Status AggregateOperator::AdvanceSource(size_t i) {
   MergeSource& src = merge_[i];
-  std::string record;
-  WSQ_ASSIGN_OR_RETURN(bool more, src.reader->Next(&record));
-  if (!more) {
-    src.done = true;
-    src.key = Row();
-    src.accs.clear();
-    return Status::OK();
-  }
-  Row payload;
-  WSQ_RETURN_IF_ERROR(DecodeSpillRecord(record, &src.key, &payload));
+  WSQ_ASSIGN_OR_RETURN(bool more, src.reader->Next(&src.record));
+  if (!more) return Status::OK();
+  std::vector<Value> key;
+  WSQ_RETURN_IF_ERROR(DecodeSpillRecord(src.record, &key, &src.payload));
   size_t naggs = node_->aggs().size();
-  if (payload.size() != naggs * 7) {
+  if (src.payload.size() != naggs * 7) {
     return Status::DataLoss("spill record has wrong accumulator arity");
   }
+  src.key = Row(std::move(key));
   src.accs.assign(naggs, Accumulator{});
   for (size_t a = 0; a < naggs; ++a) {
-    size_t base = a * 7;
+    Value* vals = &src.payload[a * 7];
     Accumulator& acc = src.accs[a];
-    acc.count = payload.value(base + 0).AsInt();
-    acc.sum_int = payload.value(base + 1).AsInt();
-    acc.sum_double = payload.value(base + 2).AsDouble();
-    acc.sum_is_double = payload.value(base + 3).AsInt() != 0;
-    acc.has_value = payload.value(base + 4).AsInt() != 0;
-    acc.min = payload.value(base + 5);
-    acc.max = payload.value(base + 6);
+    acc.count = vals[0].AsInt();
+    acc.sum_int = vals[1].AsInt();
+    acc.sum_double = vals[2].AsDouble();
+    acc.sum_is_double = vals[3].AsInt() != 0;
+    acc.has_value = vals[4].AsInt() != 0;
+    acc.min = std::move(vals[5]);
+    acc.max = std::move(vals[6]);
   }
+  heap_.push_back(i);
+  std::push_heap(heap_.begin(), heap_.end(), [this](size_t a, size_t b) {
+    return MergeAfter(a, b);
+  });
   return Status::OK();
 }
 
@@ -430,6 +439,7 @@ Status AggregateOperator::OpenImpl() {
   results_.clear();
   runs_.clear();
   merge_.clear();
+  heap_.clear();
   spill_file_.reset();
   merging_ = false;
   next_ = 0;
@@ -516,26 +526,25 @@ Result<bool> AggregateOperator::NextImpl(Row* row) {
   }
   WSQ_RETURN_IF_ERROR(CheckAlive());
   // Smallest key across the sources; every source holding an equal key
-  // folds its accumulators in and advances (a group may span runs).
-  size_t best = merge_.size();
-  for (size_t i = 0; i < merge_.size(); ++i) {
-    if (merge_[i].done) continue;
-    if (best == merge_.size() ||
-        merge_[i].key.Compare(merge_[best].key) < 0) {
-      best = i;
-    }
-  }
-  if (best == merge_.size()) return false;
+  // folds its accumulators in and advances (a group may span runs, and
+  // each run holds a key at most once). Equal keys pop in run order,
+  // so the fold order is fixed.
+  auto after = [this](size_t a, size_t b) { return MergeAfter(a, b); };
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), after);
+  size_t best = heap_.back();
+  heap_.pop_back();
   Row key = std::move(merge_[best].key);
   std::vector<Accumulator> accs = std::move(merge_[best].accs);
   WSQ_RETURN_IF_ERROR(AdvanceSource(best));
-  for (size_t i = 0; i < merge_.size(); ++i) {
-    while (!merge_[i].done && merge_[i].key.Compare(key) == 0) {
-      for (size_t a = 0; a < accs.size(); ++a) {
-        MergeAccumulator(merge_[i].accs[a], &accs[a]);
-      }
-      WSQ_RETURN_IF_ERROR(AdvanceSource(i));
+  while (!heap_.empty() && merge_[heap_.front()].key.Compare(key) == 0) {
+    std::pop_heap(heap_.begin(), heap_.end(), after);
+    size_t i = heap_.back();
+    heap_.pop_back();
+    for (size_t a = 0; a < accs.size(); ++a) {
+      MergeAccumulator(merge_[i].accs[a], &accs[a]);
     }
+    WSQ_RETURN_IF_ERROR(AdvanceSource(i));
   }
   WSQ_ASSIGN_OR_RETURN(*row, FinalizeGroup(key, accs));
   return true;
@@ -544,6 +553,7 @@ Result<bool> AggregateOperator::NextImpl(Row* row) {
 Status AggregateOperator::CloseImpl() {
   results_.clear();
   merge_.clear();
+  heap_.clear();
   runs_.clear();
   spill_file_.reset();
   merging_ = false;

@@ -50,14 +50,18 @@ class SortOperator : public Operator {
 
   /// Stable-sorts `batch` with the node's key ordering.
   void SortBatch(std::vector<Keyed>* batch) const;
-  /// True iff `a` orders strictly before `b` under the sort keys.
-  bool KeyLess(const std::vector<Value>& a,
-               const std::vector<Value>& b) const;
+  /// <0, 0 or >0 as `a` orders before, with or after `b` under the
+  /// sort keys.
+  int KeyCompare(const std::vector<Value>& a,
+                 const std::vector<Value>& b) const;
+  /// Merge-heap order: true iff source `a` emits after source `b`
+  /// (greater key, or an equal key from a later run).
+  bool MergeAfter(size_t a, size_t b) const;
   /// Sorts the batch, writes it as one spill run, and releases its
   /// reservation. No-op on an empty batch.
   Status SpillBatch(std::vector<Keyed>* batch);
-  /// Advances a merge source to its next record; marks it done at end
-  /// of run.
+  /// Reads merge source `i`'s next record and pushes the source onto
+  /// heap_; leaves it off the heap at end of run.
   Status AdvanceSource(size_t i);
 
   const SortNode* node_;
@@ -73,13 +77,16 @@ class SortOperator : public Operator {
 
   struct MergeSource {
     std::unique_ptr<SpillReader> reader;
+    std::string record;  // read buffer, reused; one record long
     std::vector<Value> keys;
     Row row;
-    bool done = false;
   };
   std::unique_ptr<SpillFile> spill_file_;
   std::vector<SpillRun> runs_;
   std::vector<MergeSource> merge_;
+  /// Indexes of the sources with a record, heap-ordered by MergeAfter:
+  /// front() holds the next output row.
+  std::vector<size_t> heap_;
 };
 
 /// GROUP BY + aggregate evaluation; groups ordered deterministically
@@ -136,6 +143,9 @@ class AggregateOperator : public Operator {
   /// Folds `from` into `into` (counts add, sums add with double
   /// widening, min/max recompare, has_value ORs).
   static void MergeAccumulator(const Accumulator& from, Accumulator* into);
+  /// Merge-heap order: true iff source `a` emits after source `b`.
+  bool MergeAfter(size_t a, size_t b) const;
+  /// As SortOperator::AdvanceSource.
   Status AdvanceSource(size_t i);
   /// Builds the output row for one merged group.
   Result<Row> FinalizeGroup(const Row& key,
@@ -151,13 +161,15 @@ class AggregateOperator : public Operator {
 
   struct MergeSource {
     std::unique_ptr<SpillReader> reader;
+    std::string record;          // read buffer, reused; one record long
+    std::vector<Value> payload;  // decoded accumulators, reused
     Row key;
     std::vector<Accumulator> accs;
-    bool done = false;
   };
   std::unique_ptr<SpillFile> spill_file_;
   std::vector<SpillRun> runs_;
   std::vector<MergeSource> merge_;
+  std::vector<size_t> heap_;  // as SortOperator::heap_
   bool merging_ = false;
 };
 

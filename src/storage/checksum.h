@@ -23,6 +23,14 @@ inline constexpr uint32_t kCrc32cInit = 0xFFFFFFFFu;
 uint32_t ExtendCrc32c(uint32_t state, const void* data, size_t n);
 inline uint32_t FinishCrc32c(uint32_t state) { return state ^ 0xFFFFFFFFu; }
 
+/// ExtendCrc32c uses the SSE4.2 `crc32` instruction when the CPU has it
+/// (checked once at runtime, x86-64 only) and this byte-table loop
+/// otherwise. Both give the same values. Declared here so tests can
+/// check the table path on hosts where the hardware path is taken.
+namespace internal {
+uint32_t ExtendCrc32cPortable(uint32_t state, const void* data, size_t n);
+}  // namespace internal
+
 /// On-disk page header field offsets within a kPageSize frame (layout
 /// documented at kPageHeaderSize in page.h).
 inline constexpr uint32_t kPageMagic = 0x57535150;  // "PQSW" LE → 'WSQP'

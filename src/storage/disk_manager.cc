@@ -10,6 +10,11 @@
 
 namespace wsq {
 
+Result<PageId> DiskManager::AllocatePage() {
+  static const char kZeroFrame[kPageSize] = {};
+  return AppendPage(kZeroFrame);
+}
+
 Status InMemoryDiskManager::ReadPage(PageId page_id, char* out) {
   MutexLock lock(&mu_);
   if (page_id < 0 || static_cast<size_t>(page_id) >= pages_.size()) {
@@ -30,10 +35,10 @@ Status InMemoryDiskManager::WritePage(PageId page_id, const char* data) {
   return Status::OK();
 }
 
-Result<PageId> InMemoryDiskManager::AllocatePage() {
+Result<PageId> InMemoryDiskManager::AppendPage(const char* data) {
   MutexLock lock(&mu_);
   auto page = std::make_unique<char[]>(kPageSize);
-  std::memset(page.get(), 0, kPageSize);
+  std::memcpy(page.get(), data, kPageSize);
   pages_.push_back(std::move(page));
   return static_cast<PageId>(pages_.size() - 1);
 }
@@ -119,10 +124,10 @@ Status FileDiskManager::WritePage(PageId page_id, const char* data) {
   return Status::OK();
 }
 
-Result<PageId> FileDiskManager::AllocatePage() {
+Result<PageId> FileDiskManager::AppendPage(const char* data) {
   MutexLock lock(&mu_);
   char frame[kPageSize];
-  std::memset(frame, 0, kPageSize);
+  std::memcpy(frame, data, kPageSize);
   StampPageHeader(num_pages_, next_lsn_++, frame);
   if (std::fseek(file_, static_cast<long>(num_pages_) * kPageSize,
                  SEEK_SET) != 0) {

@@ -42,8 +42,14 @@ class DiskManager {
   /// Writes the kPageSize frame at `data` to page `page_id`.
   virtual Status WritePage(PageId page_id, const char* data) = 0;
 
-  /// Extends the store by one zeroed page and returns its id.
-  virtual Result<PageId> AllocatePage() = 0;
+  /// Extends the store by one page holding the kPageSize frame at
+  /// `data` and returns its id: one stamped write where AllocatePage
+  /// followed by WritePage costs two.
+  virtual Result<PageId> AppendPage(const char* data) = 0;
+
+  /// Extends the store by one zeroed page and returns its id (an
+  /// AppendPage of a zero frame).
+  Result<PageId> AllocatePage();
 
   /// Number of allocated pages.
   virtual PageId NumPages() const = 0;
@@ -61,7 +67,7 @@ class InMemoryDiskManager : public DiskManager {
 
   Status ReadPage(PageId page_id, char* out) override;
   Status WritePage(PageId page_id, const char* data) override;
-  Result<PageId> AllocatePage() override;
+  Result<PageId> AppendPage(const char* data) override;
   PageId NumPages() const override;
 
  private:
@@ -85,7 +91,7 @@ class FileDiskManager : public DiskManager {
 
   Status ReadPage(PageId page_id, char* out) override;
   Status WritePage(PageId page_id, const char* data) override;
-  Result<PageId> AllocatePage() override;
+  Result<PageId> AppendPage(const char* data) override;
   PageId NumPages() const override;
   Status Sync() override;
 

@@ -165,17 +165,19 @@ Status FaultInjectingDiskManager::WritePage(PageId page_id,
   return Status::OK();
 }
 
-Result<PageId> FaultInjectingDiskManager::AllocatePage() {
+Result<PageId> FaultInjectingDiskManager::AppendPage(const char* data) {
   MutexLock lock(&mu_);
   DropOnNewEpochLocked();
   if (ctl_->crashed()) return PowerLossError();
   char frame[kPageSize];
-  std::memset(frame, 0, kPageSize);
+  std::memcpy(frame, data, kPageSize);
   StampPageHeader(num_pages_, next_lsn_++, frame);
   switch (ctl_->BeginMutation()) {
     case FaultController::Action::kFail:
       return Status::IOError("injected failure extending the file");
     case FaultController::Action::kCrash:
+      // The new page exists nowhere durably, so no torn prefix of it
+      // can survive.
       return CrashNow(kInvalidPageId, nullptr);
     case FaultController::Action::kOk:
       break;

@@ -13,11 +13,11 @@ namespace wsq {
 
 /// Declarative fault plan for the storage crash harness (the disk-side
 /// sibling of net/FaultPlan). Mutating operations — page writes,
-/// allocations, syncs, WAL appends/resets — are counted globally
-/// across every device attached to one FaultController, in call
-/// order, so "the Nth operation of a checkpoint" addresses one exact
-/// protocol step. Read corruption is keyed on (seed, page id), not on
-/// arrival order, so the same pages are corrupt on every run.
+/// allocations and appends, syncs, WAL appends/resets — are counted
+/// globally across every device attached to one FaultController, in
+/// call order, so "the Nth operation of a checkpoint" addresses one
+/// exact protocol step. Read corruption is keyed on (seed, page id),
+/// not on arrival order, so the same pages are corrupt on every run.
 struct DiskFaultPlan {
   uint64_t seed = 1;
 
@@ -110,7 +110,7 @@ class FaultInjectingDiskManager : public DiskManager {
 
   Status ReadPage(PageId page_id, char* out) override;
   Status WritePage(PageId page_id, const char* data) override;
-  Result<PageId> AllocatePage() override;
+  Result<PageId> AppendPage(const char* data) override;
   PageId NumPages() const override;
   Status Sync() override;
 

@@ -1,6 +1,9 @@
 #include "storage/serde.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "common/macros.h"
 
 namespace wsq {
 
@@ -32,12 +35,80 @@ bool GetU64(std::string_view* in, uint64_t* v) {
   return true;
 }
 
-/// Shared encoder; `allow_placeholders` distinguishes the stored-table
-/// format (incomplete tuples never reach storage) from the transient
-/// spill format.
-void SerializeRowTo(const Row& row, std::string* out) {
-  PutU32(out, static_cast<uint32_t>(row.size()));
-  for (const Value& v : row.values()) {
+/// Shared decoder into `*row`, replacing its contents. Every value
+/// takes at least its tag byte, so the reserve is capped by the bytes
+/// left: a corrupt arity cannot demand a huge allocation.
+Status DeserializeRowImpl(std::string_view bytes, bool allow_placeholders,
+                          std::vector<Value>* row) {
+  uint32_t n;
+  if (!GetU32(&bytes, &n)) {
+    return Status::IOError("corrupt row: missing arity");
+  }
+  row->clear();
+  row->reserve(std::min<size_t>(n, bytes.size()));
+  for (uint32_t i = 0; i < n; ++i) {
+    if (bytes.empty()) return Status::IOError("corrupt row: missing tag");
+    TypeId tag = static_cast<TypeId>(bytes.front());
+    bytes.remove_prefix(1);
+    switch (tag) {
+      case TypeId::kNull:
+        row->emplace_back(Value::Null());
+        break;
+      case TypeId::kInt64: {
+        uint64_t v;
+        if (!GetU64(&bytes, &v)) {
+          return Status::IOError("corrupt row: truncated int");
+        }
+        row->emplace_back(Value::Int(static_cast<int64_t>(v)));
+        break;
+      }
+      case TypeId::kDouble: {
+        uint64_t bits;
+        if (!GetU64(&bytes, &bits)) {
+          return Status::IOError("corrupt row: truncated double");
+        }
+        double d;
+        std::memcpy(&d, &bits, 8);
+        row->emplace_back(Value::Real(d));
+        break;
+      }
+      case TypeId::kString: {
+        uint32_t len;
+        if (!GetU32(&bytes, &len) || bytes.size() < len) {
+          return Status::IOError("corrupt row: truncated string");
+        }
+        row->emplace_back(Value::Str(std::string(bytes.substr(0, len))));
+        bytes.remove_prefix(len);
+        break;
+      }
+      case TypeId::kPlaceholder: {
+        uint64_t call;
+        uint32_t field;
+        if (!allow_placeholders) {
+          return Status::IOError("corrupt row: bad type tag");
+        }
+        if (!GetU64(&bytes, &call) || !GetU32(&bytes, &field)) {
+          return Status::IOError("corrupt row: truncated placeholder");
+        }
+        row->emplace_back(Value::Pending(static_cast<CallId>(call),
+                                         static_cast<int32_t>(field)));
+        break;
+      }
+      default:
+        return Status::IOError("corrupt row: bad type tag");
+    }
+  }
+  if (!bytes.empty()) {
+    return Status::IOError("corrupt row: trailing bytes");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+void AppendSpillRow(std::span<const Value> values, std::string* out) {
+  PutU32(out, static_cast<uint32_t>(values.size()));
+  for (const Value& v : values) {
     out->push_back(static_cast<char>(v.type()));
     switch (v.type()) {
       case TypeId::kNull:
@@ -64,73 +135,6 @@ void SerializeRowTo(const Row& row, std::string* out) {
   }
 }
 
-Result<Row> DeserializeRowImpl(std::string_view bytes,
-                               bool allow_placeholders) {
-  uint32_t n;
-  if (!GetU32(&bytes, &n)) {
-    return Status::IOError("corrupt row: missing arity");
-  }
-  Row row;
-  for (uint32_t i = 0; i < n; ++i) {
-    if (bytes.empty()) return Status::IOError("corrupt row: missing tag");
-    TypeId tag = static_cast<TypeId>(bytes.front());
-    bytes.remove_prefix(1);
-    switch (tag) {
-      case TypeId::kNull:
-        row.Append(Value::Null());
-        break;
-      case TypeId::kInt64: {
-        uint64_t v;
-        if (!GetU64(&bytes, &v)) {
-          return Status::IOError("corrupt row: truncated int");
-        }
-        row.Append(Value::Int(static_cast<int64_t>(v)));
-        break;
-      }
-      case TypeId::kDouble: {
-        uint64_t bits;
-        if (!GetU64(&bytes, &bits)) {
-          return Status::IOError("corrupt row: truncated double");
-        }
-        double d;
-        std::memcpy(&d, &bits, 8);
-        row.Append(Value::Real(d));
-        break;
-      }
-      case TypeId::kString: {
-        uint32_t len;
-        if (!GetU32(&bytes, &len) || bytes.size() < len) {
-          return Status::IOError("corrupt row: truncated string");
-        }
-        row.Append(Value::Str(std::string(bytes.substr(0, len))));
-        bytes.remove_prefix(len);
-        break;
-      }
-      case TypeId::kPlaceholder: {
-        uint64_t call;
-        uint32_t field;
-        if (!allow_placeholders) {
-          return Status::IOError("corrupt row: bad type tag");
-        }
-        if (!GetU64(&bytes, &call) || !GetU32(&bytes, &field)) {
-          return Status::IOError("corrupt row: truncated placeholder");
-        }
-        row.Append(Value::Pending(static_cast<CallId>(call),
-                                  static_cast<int32_t>(field)));
-        break;
-      }
-      default:
-        return Status::IOError("corrupt row: bad type tag");
-    }
-  }
-  if (!bytes.empty()) {
-    return Status::IOError("corrupt row: trailing bytes");
-  }
-  return row;
-}
-
-}  // namespace
-
 Result<std::string> SerializeRow(const Row& row) {
   for (const Value& v : row.values()) {
     if (v.is_placeholder()) {
@@ -138,23 +142,21 @@ Result<std::string> SerializeRow(const Row& row) {
           "attempted to serialize an incomplete tuple (placeholder)");
     }
   }
+  // The stored format is the spill format without placeholders.
   std::string out;
-  SerializeRowTo(row, &out);
+  AppendSpillRow(row.values(), &out);
   return out;
 }
 
 Result<Row> DeserializeRow(std::string_view bytes) {
-  return DeserializeRowImpl(bytes, /*allow_placeholders=*/false);
+  std::vector<Value> values;
+  WSQ_RETURN_IF_ERROR(
+      DeserializeRowImpl(bytes, /*allow_placeholders=*/false, &values));
+  return Row(std::move(values));
 }
 
-std::string SerializeSpillRow(const Row& row) {
-  std::string out;
-  SerializeRowTo(row, &out);
-  return out;
-}
-
-Result<Row> DeserializeSpillRow(std::string_view bytes) {
-  return DeserializeRowImpl(bytes, /*allow_placeholders=*/true);
+Status DeserializeSpillRow(std::string_view bytes, std::vector<Value>* out) {
+  return DeserializeRowImpl(bytes, /*allow_placeholders=*/true, out);
 }
 
 }  // namespace wsq

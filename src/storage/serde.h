@@ -1,7 +1,9 @@
 #ifndef WSQ_STORAGE_SERDE_H_
 #define WSQ_STORAGE_SERDE_H_
 
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "types/row.h"
@@ -20,10 +22,12 @@ Result<Row> DeserializeRow(std::string_view bytes);
 /// strictly in-process — a CallId is meaningful for the lifetime of
 /// the query that spilled it — so incomplete tuples may round-trip
 /// through a Sort/Aggregate run on disk. Never use for stored tables.
-std::string SerializeSpillRow(const Row& row);
+/// Appends to `*out`, so a spill record is built in one reused buffer.
+void AppendSpillRow(std::span<const Value> values, std::string* out);
 
-/// Parses a byte string produced by SerializeSpillRow.
-Result<Row> DeserializeSpillRow(std::string_view bytes);
+/// Parses bytes produced by AppendSpillRow into `*out`, replacing its
+/// contents while keeping its capacity.
+Status DeserializeSpillRow(std::string_view bytes, std::vector<Value>* out);
 
 }  // namespace wsq
 

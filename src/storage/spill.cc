@@ -41,13 +41,15 @@ Status SpillWriter::FlushPage() {
 }
 
 Status SpillWriter::FlushPageImpl() {
-  WSQ_ASSIGN_OR_RETURN(PageId page, file_->disk()->AllocatePage());
+  // Zero the tail a final partial page leaves, so no stale bytes from
+  // the previous page reach the file.
+  std::memset(frame_ + kPageHeaderSize + frame_used_, 0,
+              kPageDataSize - frame_used_);
+  WSQ_ASSIGN_OR_RETURN(PageId page, file_->disk()->AppendPage(frame_));
   if (!started_) {
     run_.first_page = page;
     started_ = true;
   }
-  WSQ_RETURN_IF_ERROR(file_->disk()->WritePage(page, frame_));
-  std::memset(frame_, 0, sizeof(frame_));
   frame_used_ = 0;
   return Status::OK();
 }

@@ -41,8 +41,9 @@ struct SpillRun {
 
 /// Appends length-prefixed records to a new run: a byte stream of
 /// [u32 len][len bytes]... chunked into checksummed kPageDataSize page
-/// payloads through the DiskManager layer. One writer at a time per
-/// file; runs occupy consecutive pages.
+/// payloads through the DiskManager layer; each page is appended
+/// (stamped and written) exactly once. One writer at a time per file;
+/// runs occupy consecutive pages.
 class SpillWriter {
  public:
   explicit SpillWriter(SpillFile* file);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,47 @@
 
 namespace wsq {
 namespace {
+
+// Mutating calls seen by every device of one CountingSpillManager.
+// AllocatePage is an AppendPage of zeroes, so it counts as an append.
+struct DiskCallCounts {
+  std::atomic<uint64_t> appends{0};
+  std::atomic<uint64_t> writes{0};
+  std::atomic<uint64_t> pages{0};  // pages the devices held at teardown
+};
+
+class CountingDiskManager : public InMemoryDiskManager {
+ public:
+  explicit CountingDiskManager(DiskCallCounts* counts) : counts_(counts) {}
+  ~CountingDiskManager() override { counts_->pages += NumPages(); }
+
+  Status WritePage(PageId page_id, const char* data) override {
+    ++counts_->writes;
+    return InMemoryDiskManager::WritePage(page_id, data);
+  }
+  Result<PageId> AppendPage(const char* data) override {
+    ++counts_->appends;
+    return InMemoryDiskManager::AppendPage(data);
+  }
+
+ private:
+  DiskCallCounts* counts_;
+};
+
+class CountingSpillManager : public SpillManager {
+ public:
+  explicit CountingSpillManager(DiskCallCounts* counts) : counts_(counts) {}
+
+ protected:
+  Result<Device> NewDevice() override {
+    Device d;
+    d.disk = std::make_unique<CountingDiskManager>(counts_);
+    return d;
+  }
+
+ private:
+  DiskCallCounts* counts_;
+};
 
 // Sort/Aggregate/Distinct under a budget too small for their build
 // state: every query must degrade to the external (spilling) algorithm
@@ -48,9 +91,11 @@ class SpillTest : public ::testing::Test {
     uint64_t spill_runs = 0;
   };
 
-  /// Runs `sql` under `budget_bytes` (0 = ungoverned). Asserts the
-  /// ledger is balanced and every spill file is gone afterwards.
-  RunResult Run(const std::string& sql, size_t budget_bytes) {
+  /// Runs `sql` under `budget_bytes` (0 = ungoverned), spilling to
+  /// `spill` (a default SpillManager when null). Asserts the ledger is
+  /// balanced and every spill file is gone afterwards.
+  RunResult Run(const std::string& sql, size_t budget_bytes,
+                SpillManager* spill = nullptr) {
     auto stmt = Parser::ParseSelect(sql);
     EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
     Binder binder(&catalog_, &vtables_);
@@ -58,15 +103,16 @@ class SpillTest : public ::testing::Test {
     EXPECT_TRUE(plan.ok()) << plan.status().ToString() << "\n" << sql;
 
     MemoryBudget budget("test-query", budget_bytes);
-    SpillManager spill;
+    SpillManager default_spill;
+    if (spill == nullptr) spill = &default_spill;
     ExecContext ctx;
     ctx.memory = &budget;
-    ctx.spill = &spill;
+    ctx.spill = spill;
     auto result = ExecutePlan(**plan, &ctx);
     EXPECT_TRUE(result.ok()) << result.status().ToString() << "\n" << sql;
 
     EXPECT_EQ(budget.used(), 0u) << "leaked reservation: " << sql;
-    EXPECT_EQ(spill.active_files(), 0u) << "leaked spill file: " << sql;
+    EXPECT_EQ(spill->active_files(), 0u) << "leaked spill file: " << sql;
 
     RunResult out;
     if (result.ok()) out.result = std::move(result).value();
@@ -75,14 +121,15 @@ class SpillTest : public ::testing::Test {
     return out;
   }
 
-  /// The governed run must spill AND match the ungoverned rows exactly.
-  void ExpectSpilledIdentical(const std::string& sql,
-                              size_t budget_bytes) {
+  /// The governed run must spill into at least `min_runs` runs AND
+  /// match the ungoverned rows exactly.
+  void ExpectSpilledIdentical(const std::string& sql, size_t budget_bytes,
+                              uint64_t min_runs = 1) {
     RunResult reference = Run(sql, 0);
     EXPECT_EQ(reference.spilled_bytes, 0u);
     RunResult governed = Run(sql, budget_bytes);
     EXPECT_GT(governed.spilled_bytes, 0u) << "did not spill: " << sql;
-    EXPECT_GT(governed.spill_runs, 0u);
+    EXPECT_GE(governed.spill_runs, min_runs);
     ASSERT_EQ(governed.result.rows.size(), reference.result.rows.size())
         << sql;
     for (size_t i = 0; i < reference.result.rows.size(); ++i) {
@@ -131,6 +178,36 @@ TEST_F(SpillTest, TinyBudgetManyRuns) {
   RunResult r = Run("SELECT K, V FROM T ORDER BY K, V", 4 * 1024);
   EXPECT_EQ(r.result.rows.size(), kRows);
   EXPECT_GT(r.spill_runs, 4u);
+}
+
+TEST_F(SpillTest, ManyRunMergeKeepsStableTieOrder) {
+  // 37 distinct keys over 3000 rows: nearly every output row ties with
+  // rows in other runs, so the merge's tie rule (lowest run first)
+  // decides the V order that the in-memory stable sort produces.
+  ExpectSpilledIdentical("SELECT G, V, K FROM T ORDER BY G DESC",
+                         4 * 1024, /*min_runs=*/40);
+}
+
+TEST_F(SpillTest, ManyRunAggregateMatchesInMemory) {
+  // 211 groups spread over many runs: a group's partial accumulators
+  // sit in several runs and must fold to the in-memory result.
+  ExpectSpilledIdentical(
+      "SELECT K, COUNT(*), SUM(V), MIN(V), MAX(G) FROM T GROUP BY K",
+      2 * 1024, /*min_runs=*/40);
+}
+
+TEST_F(SpillTest, EverySpillPageIsWrittenOnce) {
+  DiskCallCounts counts;
+  CountingSpillManager spill(&counts);
+  RunResult r = Run("SELECT K, V FROM T ORDER BY K", 32 * 1024, &spill);
+  ASSERT_EQ(r.result.rows.size(), kRows);
+  ASSERT_GT(r.spill_runs, 1u);
+  // Each page is one append holding its contents: no separate
+  // allocation, no rewrite.
+  EXPECT_GT(counts.pages.load(), 0u);
+  EXPECT_GE(counts.pages.load() * kPageDataSize, r.spilled_bytes);
+  EXPECT_EQ(counts.appends.load(), counts.pages.load());
+  EXPECT_EQ(counts.writes.load(), 0u);
 }
 
 TEST_F(SpillTest, NoSpillManagerFailsCleanly) {

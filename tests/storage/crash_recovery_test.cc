@@ -267,5 +267,34 @@ TEST(CrashRecoveryTest, UnsyncedWritesVanishOnCrash) {
   EXPECT_EQ(in[kPageHeaderSize], 0);  // the synced (empty) version
 }
 
+TEST(CrashRecoveryTest, AppendIsOneOpAndVanishesOnCrash) {
+  SimMachine m;
+  char frame[kPageSize] = {};
+  frame[kPageHeaderSize] = 'a';
+  uint64_t ops = m.ctl.stats().ops;
+  auto first = m.disk.AppendPage(frame);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(m.ctl.stats().ops, ops + 1);
+  EXPECT_EQ(m.disk.unsynced_pages(), 1u);
+  char in[kPageSize];
+  ASSERT_TRUE(m.disk.ReadPage(*first, in).ok());
+  EXPECT_EQ(in[kPageHeaderSize], 'a');
+  ASSERT_TRUE(m.disk.Sync().ok());
+
+  // An append that crashes, and an earlier unsynced one, both vanish:
+  // only the synced page is left.
+  ASSERT_TRUE(m.disk.AppendPage(frame).ok());
+  DiskFaultPlan plan;
+  plan.crash_at_op = m.ctl.stats().ops + 1;
+  plan.torn_bytes = 137;
+  m.ctl.set_plan(plan);
+  ASSERT_FALSE(m.disk.AppendPage(frame).ok());
+  m.ctl.Recover();
+  m.ctl.set_plan(DiskFaultPlan{});
+  EXPECT_EQ(m.disk.NumPages(), *first + 1);
+  ASSERT_TRUE(m.disk.ReadPage(*first, in).ok());
+  EXPECT_EQ(in[kPageHeaderSize], 'a');
+}
+
 }  // namespace
 }  // namespace wsq

@@ -72,6 +72,19 @@ TEST_P(DiskManagerParamTest, WriteReadRoundTrip) {
   EXPECT_TRUE(PayloadsEqual(out, in));
 }
 
+TEST_P(DiskManagerParamTest, AppendExtendsWithContents) {
+  ASSERT_TRUE(disk_->AllocatePage().ok());
+  char out[kPageSize];
+  char in[kPageSize];
+  FillPattern(out, 5);
+  auto r = disk_->AppendPage(out);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(*r, 1);
+  EXPECT_EQ(disk_->NumPages(), 2);
+  ASSERT_TRUE(disk_->ReadPage(1, in).ok());
+  EXPECT_TRUE(PayloadsEqual(out, in));
+}
+
 TEST_P(DiskManagerParamTest, FreshPageIsZeroed) {
   ASSERT_TRUE(disk_->AllocatePage().ok());
   char in[kPageSize];
