@@ -136,10 +136,9 @@ Result<std::vector<Row>> TableInfo::ScanAll() const {
 }
 
 Result<bool> TableScanner::Next(Row* row) {
-  std::string bytes;
-  WSQ_ASSIGN_OR_RETURN(bool more, scanner_.Next(nullptr, &bytes));
+  WSQ_ASSIGN_OR_RETURN(bool more, scanner_.Next(nullptr, &record_));
   if (!more) return false;
-  WSQ_ASSIGN_OR_RETURN(*row, DeserializeRow(bytes));
+  WSQ_ASSIGN_OR_RETURN(*row, DeserializeRow(record_));
   return true;
 }
 

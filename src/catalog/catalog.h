@@ -125,6 +125,7 @@ class TableScanner {
  private:
   const TableInfo* table_;
   HeapFileScanner scanner_;
+  std::string record_;  // heap read buffer, reused across rows
 };
 
 /// Name → stored table registry. Virtual tables are registered separately

@@ -31,9 +31,9 @@ Status IndexScanOperator::OpenImpl() {
 
 Result<bool> IndexScanOperator::NextImpl(Row* row) {
   if (next_ >= rids_.size()) return false;
-  WSQ_ASSIGN_OR_RETURN(std::string bytes,
-                       node_->table()->heap()->Get(rids_[next_++]));
-  WSQ_ASSIGN_OR_RETURN(*row, DeserializeRow(bytes));
+  WSQ_RETURN_IF_ERROR(
+      node_->table()->heap()->Get(rids_[next_++], &record_));
+  WSQ_ASSIGN_OR_RETURN(*row, DeserializeRow(record_));
   return true;
 }
 

@@ -41,6 +41,7 @@ class IndexScanOperator : public Operator {
   const IndexScanNode* node_;
   std::vector<Rid> rids_;
   size_t next_ = 0;
+  std::string record_;  // heap read buffer, reused across rows
 };
 
 /// Shared logic for external virtual table scans: assembling the

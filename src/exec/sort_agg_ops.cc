@@ -7,28 +7,23 @@
 
 #include "common/macros.h"
 #include "common/strings.h"
+#include "expr/expr.h"
 #include "storage/serde.h"
 
 namespace wsq {
 
 namespace {
 
-/// Approximate footprint of one buffered (keys, row) pair / group
-/// entry. The container-node constant keeps the ledger honest about
-/// bookkeeping overhead without per-allocator precision.
+/// Approximate footprint of one group entry. The container-node
+/// constant keeps the ledger honest about bookkeeping overhead without
+/// per-allocator precision.
 constexpr size_t kEntryOverhead = 64;
 
-size_t KeysApproxBytes(const std::vector<Value>& keys) {
-  size_t bytes = sizeof(std::vector<Value>);
-  for (const Value& k : keys) bytes += k.ApproxBytes();
-  return bytes;
-}
-
-/// One spill record: [u32 key_len][key blob][payload blob]. The key
-/// blob is decoded for merge ordering without re-evaluating any
-/// expression; the payload is the data row (Sort) or the flattened
-/// accumulators (Aggregate). Built in `*record`, whose capacity is
-/// reused across the records of a run.
+/// One Aggregate spill record: [u32 key_len][key blob][payload blob].
+/// The key blob (the group key row) is decoded for merge ordering
+/// without re-evaluating any expression; the payload is the flattened
+/// accumulators. Built in `*record`, whose capacity is reused across
+/// the records of a run.
 void EncodeSpillRecord(std::span<const Value> keys,
                        std::span<const Value> payload,
                        std::string* record) {
@@ -58,51 +53,98 @@ Status DecodeSpillRecord(std::string_view record, std::vector<Value>* keys,
 
 // --- SortOperator ---
 
-int SortOperator::KeyCompare(const std::vector<Value>& a,
-                             const std::vector<Value>& b) const {
-  const auto& key_specs = node_->keys();
-  for (size_t i = 0; i < key_specs.size(); ++i) {
-    int c = a[i].Compare(b[i]);
-    if (c == 0) continue;
-    return key_specs[i].descending ? -c : c;
+namespace {
+
+/// The u32 key length that heads every Sort record.
+constexpr size_t kKeyLenBytes = sizeof(uint32_t);
+
+/// The first 8 bytes of an ordered key as a big-endian integer, zero
+/// padded: unequal prefixes order as memcmp orders the full keys.
+uint64_t KeyPrefix(const char* key, size_t key_len) {
+  unsigned char bytes[8] = {};
+  std::memcpy(bytes, key, std::min<size_t>(key_len, sizeof(bytes)));
+  uint64_t prefix = 0;
+  for (unsigned char b : bytes) prefix = (prefix << 8) | b;
+  return prefix;
+}
+
+/// Decodes the payload of a Sort record whose key is `key_len` bytes:
+/// the one place a buffered row becomes a Row again.
+Status DecodeSortPayload(std::string_view record, size_t key_len,
+                         Row* row) {
+  std::vector<Value> values;
+  WSQ_RETURN_IF_ERROR(DeserializeSpillRow(
+      record.substr(kKeyLenBytes + key_len), &values));
+  *row = Row(std::move(values));
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<uint32_t> SortOperator::AppendRecord(const Row& row) {
+  const size_t start = arena_.size();
+  arena_.append(kKeyLenBytes, '\0');
+  const auto& keys = node_->keys();
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (key_columns_[i] < row.size()) {
+      WSQ_RETURN_IF_ERROR(AppendOrderedKey(row.value(key_columns_[i]),
+                                           keys[i].descending, &arena_));
+    } else {
+      // Computed key (or a column past the row: Eval reports it).
+      WSQ_ASSIGN_OR_RETURN(Value v, keys[i].expr->Eval(row));
+      WSQ_RETURN_IF_ERROR(
+          AppendOrderedKey(v, keys[i].descending, &arena_));
+    }
   }
-  return 0;
+  const uint32_t key_len =
+      static_cast<uint32_t>(arena_.size() - start - kKeyLenBytes);
+  std::memcpy(arena_.data() + start, &key_len, kKeyLenBytes);
+  AppendSpillRow(row.values(), &arena_);
+  return key_len;
+}
+
+void SortOperator::SortBatch() {
+  const char* base = arena_.data();
+  std::sort(index_.begin(), index_.end(),
+            [base](const RecordRef& a, const RecordRef& b) {
+              if (a.prefix != b.prefix) return a.prefix < b.prefix;
+              std::string_view ka(base + a.offset + kKeyLenBytes, a.key_len);
+              std::string_view kb(base + b.offset + kKeyLenBytes, b.key_len);
+              int c = ka.compare(kb);
+              return c != 0 ? c < 0 : a.offset < b.offset;
+            });
+}
+
+void SortOperator::FreeBatch() {
+  std::string().swap(arena_);
+  std::vector<RecordRef>().swap(index_);
 }
 
 bool SortOperator::MergeAfter(size_t a, size_t b) const {
-  int c = KeyCompare(merge_[a].keys, merge_[b].keys);
+  int c = merge_[a].key().compare(merge_[b].key());
   return c != 0 ? c > 0 : a > b;
 }
 
-void SortOperator::SortBatch(std::vector<Keyed>* batch) const {
-  std::stable_sort(batch->begin(), batch->end(),
-                   [this](const Keyed& a, const Keyed& b) {
-                     return KeyCompare(a.first, b.first) < 0;
-                   });
-}
-
-Status SortOperator::SpillBatch(std::vector<Keyed>* batch) {
-  if (batch->empty()) return Status::OK();
+Status SortOperator::SpillBatch() {
+  if (index_.empty()) return Status::OK();
   if (ctx_ == nullptr || ctx_->spill == nullptr) {
     return Status::ResourceExhausted(
         "sort: memory budget exhausted and spilling is unavailable");
   }
-  SortBatch(batch);
+  SortBatch();
   if (spill_file_ == nullptr) {
     WSQ_ASSIGN_OR_RETURN(spill_file_, ctx_->spill->Create());
   }
   SpillWriter writer(spill_file_.get());
-  std::string record;
-  for (const Keyed& entry : *batch) {
+  for (const RecordRef& r : index_) {
     WSQ_RETURN_IF_ERROR(CheckAlive());
-    EncodeSpillRecord(entry.first, entry.second.values(), &record);
-    WSQ_RETURN_IF_ERROR(writer.Append(record));
+    WSQ_RETURN_IF_ERROR(
+        writer.Append(std::string_view(arena_.data() + r.offset, r.len)));
   }
   WSQ_ASSIGN_OR_RETURN(SpillRun run, writer.Finish());
   runs_.push_back(run);
-  // Free the batch's capacity, not just its size: the point of the
-  // spill is to give the bytes back.
-  std::vector<Keyed>().swap(*batch);
+  // The point of the spill is to give the bytes back.
+  FreeBatch();
   mem_.ReleaseAll();
   CountSpill(run.bytes, 1);
   if (ctx_ != nullptr) {
@@ -123,9 +165,13 @@ Status SortOperator::AdvanceSource(size_t i) {
   MergeSource& src = merge_[i];
   WSQ_ASSIGN_OR_RETURN(bool more, src.reader->Next(&src.record));
   if (!more) return Status::OK();
-  std::vector<Value> payload;
-  WSQ_RETURN_IF_ERROR(DecodeSpillRecord(src.record, &src.keys, &payload));
-  src.row = Row(std::move(payload));
+  if (src.record.size() < kKeyLenBytes) {
+    return Status::DataLoss("spill record truncated: missing key length");
+  }
+  std::memcpy(&src.key_len, src.record.data(), kKeyLenBytes);
+  if (src.record.size() - kKeyLenBytes < src.key_len) {
+    return Status::DataLoss("spill record truncated: key past end");
+  }
   heap_.push_back(i);
   std::push_heap(heap_.begin(), heap_.end(), [this](size_t a, size_t b) {
     return MergeAfter(a, b);
@@ -134,7 +180,7 @@ Status SortOperator::AdvanceSource(size_t i) {
 }
 
 Status SortOperator::OpenImpl() {
-  rows_.clear();
+  FreeBatch();
   runs_.clear();
   merge_.clear();
   heap_.clear();
@@ -142,54 +188,58 @@ Status SortOperator::OpenImpl() {
   next_ = 0;
   mem_.ReleaseAll();
   if (ctx_ != nullptr) mem_.Bind(ctx_->memory);
+  key_columns_.clear();
+  for (const SortNode::SortKey& k : node_->keys()) {
+    key_columns_.push_back(
+        k.expr->kind() == BoundExpr::Kind::kColumnRef
+            ? static_cast<const BoundColumnRef&>(*k.expr).index()
+            : kNoColumn);
+  }
   WSQ_RETURN_IF_ERROR(child_->Open());
   child_open_ = true;
 
-  // Materialize rows with their precomputed sort keys, charging every
-  // buffered pair to the query's memory budget.
-  std::vector<Keyed> keyed;
+  // Materialize one record per row, charging its bytes and index entry
+  // to the query's memory budget.
   Row row;
   while (true) {
     WSQ_RETURN_IF_ERROR(CheckAlive());
     WSQ_ASSIGN_OR_RETURN(bool more, child_->Next(&row));
     if (!more) break;
-    std::vector<Value> keys;
-    keys.reserve(node_->keys().size());
-    for (const SortNode::SortKey& k : node_->keys()) {
-      WSQ_ASSIGN_OR_RETURN(Value v, k.expr->Eval(row));
-      if (v.is_placeholder()) {
-        return Status::ExecutionError(
-            "sort key is an incomplete (placeholder) value");
-      }
-      keys.push_back(std::move(v));
-    }
-    size_t delta =
-        KeysApproxBytes(keys) + row.ApproxBytes() + kEntryOverhead;
+    const size_t offset = arena_.size();
+    WSQ_ASSIGN_OR_RETURN(uint32_t key_len, AppendRecord(row));
+    const size_t len = arena_.size() - offset;
+    const size_t delta = len + sizeof(RecordRef);
     if (!mem_.TryAdd(delta)) {
-      // Tier 1: degrade to external sort instead of dying.
-      WSQ_RETURN_IF_ERROR(SpillBatch(&keyed));
+      // Tier 1: degrade to external sort instead of dying. The batch
+      // spilled is everything before this record, which then starts
+      // the next batch.
+      std::string record = arena_.substr(offset);
+      arena_.resize(offset);
+      WSQ_RETURN_IF_ERROR(SpillBatch());
+      arena_ = std::move(record);
       if (!mem_.TryAdd(delta)) {
         // A single row larger than the whole budget: admit it as a
         // tracked overage rather than deadlocking on an empty batch.
         mem_.ForceAdd(delta);
       }
     }
-    keyed.emplace_back(std::move(keys), std::move(row));
+    const size_t start = arena_.size() - len;
+    index_.push_back(
+        {start, KeyPrefix(arena_.data() + start + kKeyLenBytes, key_len),
+         key_len, static_cast<uint32_t>(len)});
   }
   child_open_ = false;
   WSQ_RETURN_IF_ERROR(child_->Close());
 
   if (runs_.empty()) {
-    // Everything fit: the classic in-memory stable sort.
-    SortBatch(&keyed);
-    rows_.reserve(keyed.size());
-    for (auto& [keys, r] : keyed) rows_.push_back(std::move(r));
+    // Everything fit: NextImpl decodes the records in index order.
+    SortBatch();
     RecordPeakBytes(mem_.peak_bytes());
     return Status::OK();
   }
 
   // Spilled: flush the tail batch and open one merge source per run.
-  WSQ_RETURN_IF_ERROR(SpillBatch(&keyed));
+  WSQ_RETURN_IF_ERROR(SpillBatch());
   merge_.resize(runs_.size());
   for (size_t i = 0; i < runs_.size(); ++i) {
     merge_[i].reader =
@@ -207,8 +257,10 @@ Status SortOperator::OpenImpl() {
 
 Result<bool> SortOperator::NextImpl(Row* row) {
   if (merge_.empty()) {
-    if (next_ >= rows_.size()) return false;
-    *row = rows_[next_++];
+    if (next_ >= index_.size()) return false;
+    const RecordRef& r = index_[next_++];
+    WSQ_RETURN_IF_ERROR(DecodeSortPayload(
+        std::string_view(arena_.data() + r.offset, r.len), r.key_len, row));
     return true;
   }
   WSQ_RETURN_IF_ERROR(CheckAlive());
@@ -221,13 +273,14 @@ Result<bool> SortOperator::NextImpl(Row* row) {
   });
   size_t best = heap_.back();
   heap_.pop_back();
-  *row = std::move(merge_[best].row);
+  WSQ_RETURN_IF_ERROR(DecodeSortPayload(merge_[best].record,
+                                        merge_[best].key_len, row));
   WSQ_RETURN_IF_ERROR(AdvanceSource(best));
   return true;
 }
 
 Status SortOperator::CloseImpl() {
-  rows_.clear();
+  FreeBatch();
   merge_.clear();
   heap_.clear();
   runs_.clear();

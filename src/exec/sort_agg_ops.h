@@ -1,9 +1,11 @@
 #ifndef WSQ_EXEC_SORT_AGG_OPS_H_
 #define WSQ_EXEC_SORT_AGG_OPS_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/memory.h"
@@ -14,17 +16,27 @@
 
 namespace wsq {
 
-/// ORDER BY: materializes the child and stable-sorts on the key
-/// expressions (precomputed per row).
+/// ORDER BY: materializes the child as byte records and sorts the
+/// records, not Rows.
 ///
-/// Memory governance: every buffered (keys, row) pair is charged to the
-/// query's MemoryBudget through a MemoryReservation. When a reservation
-/// fails (tier 1 of the degradation ladder), the current batch is
-/// stable-sorted and written as a sorted run to a spill temp file
-/// (checksummed pages via the DiskManager layer); Next() then k-way
-/// merges the runs. Run batches partition the input in order and ties
-/// prefer the lower run index, so spilled output is byte-identical to
-/// the in-memory stable sort. Without a SpillManager in the
+/// Each input row becomes one record, [u32 key_len][ordered key]
+/// [AppendSpillRow payload], appended to one arena string. The ordered
+/// key is the concatenation of AppendOrderedKey (storage/serde.h) over
+/// the sort keys, so memcmp on it is the ORDER BY order. An index of
+/// {offset, key prefix, key_len, len} entries is sorted by (key bytes,
+/// offset); records sit in the arena in input order, so the offset
+/// tie-break is the stable-sort tie order. A row is decoded once, when
+/// it is emitted.
+///
+/// Memory governance: each record's bytes plus its index entry are
+/// charged to the query's MemoryBudget through a MemoryReservation.
+/// When a reservation fails (tier 1 of the degradation ladder), the
+/// current batch is sorted and its records are written verbatim, in
+/// order, as one run to a spill temp file (checksummed pages via the
+/// DiskManager layer); Next() then k-way merges the runs on the key
+/// bytes in each reader's buffer. Run batches partition the input in
+/// order and ties prefer the lower run index, so spilled output is
+/// byte-identical to the in-memory sort. Without a SpillManager in the
 /// ExecContext, a failed reservation fails the query with
 /// kResourceExhausted instead.
 class SortOperator : public Operator {
@@ -46,20 +58,28 @@ class SortOperator : public Operator {
   size_t spill_runs() const { return runs_.size(); }
 
  private:
-  using Keyed = std::pair<std::vector<Value>, Row>;
+  /// One buffered record: arena_[offset, offset + len), whose ordered
+  /// key is the key_len bytes after the u32 header. `prefix` caches the
+  /// key's first 8 bytes so most comparisons never touch the arena.
+  struct RecordRef {
+    size_t offset;
+    uint64_t prefix;
+    uint32_t key_len;
+    uint32_t len;
+  };
 
-  /// Stable-sorts `batch` with the node's key ordering.
-  void SortBatch(std::vector<Keyed>* batch) const;
-  /// <0, 0 or >0 as `a` orders before, with or after `b` under the
-  /// sort keys.
-  int KeyCompare(const std::vector<Value>& a,
-                 const std::vector<Value>& b) const;
+  /// Appends `row`'s record to arena_ and returns its key length.
+  Result<uint32_t> AppendRecord(const Row& row);
+  /// Sorts index_ by (key bytes, offset).
+  void SortBatch();
+  /// Frees the batch's arena and index capacity, not just their size.
+  void FreeBatch();
   /// Merge-heap order: true iff source `a` emits after source `b`
   /// (greater key, or an equal key from a later run).
   bool MergeAfter(size_t a, size_t b) const;
-  /// Sorts the batch, writes it as one spill run, and releases its
-  /// reservation. No-op on an empty batch.
-  Status SpillBatch(std::vector<Keyed>* batch);
+  /// Sorts the batch, writes it as one spill run, frees it and
+  /// releases its reservation. No-op on an empty batch.
+  Status SpillBatch();
   /// Reads merge source `i`'s next record and pushes the source onto
   /// heap_; leaves it off the heap at end of run.
   Status AdvanceSource(size_t i);
@@ -68,7 +88,12 @@ class SortOperator : public Operator {
   OperatorPtr child_;
   ExecContext* ctx_ = nullptr;
   MemoryReservation mem_;
-  std::vector<Row> rows_;
+  /// Per sort key: the row position it reads when the key is a plain
+  /// column reference (read in place, no Eval copy), else kNoColumn.
+  std::vector<size_t> key_columns_;
+  static constexpr size_t kNoColumn = static_cast<size_t>(-1);
+  std::string arena_;
+  std::vector<RecordRef> index_;
   size_t next_ = 0;
   // True while the child is open. Open() closes the child after a full
   // drain; if the drain errors out, Close() must cascade instead so a
@@ -78,8 +103,10 @@ class SortOperator : public Operator {
   struct MergeSource {
     std::unique_ptr<SpillReader> reader;
     std::string record;  // read buffer, reused; one record long
-    std::vector<Value> keys;
-    Row row;
+    uint32_t key_len = 0;  // of the ordered key inside `record`
+    std::string_view key() const {
+      return std::string_view(record).substr(sizeof(uint32_t), key_len);
+    }
   };
   std::unique_ptr<SpillFile> spill_file_;
   std::vector<SpillRun> runs_;

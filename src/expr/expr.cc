@@ -175,9 +175,14 @@ TypeId BoundBinary::OutputType() const {
 }
 
 std::string BoundBinary::ToString() const {
-  return "(" + left_->ToString() + " " +
-         std::string(BinaryOpToString(op_)) + " " + right_->ToString() +
-         ")";
+  std::string out = "(";
+  out += left_->ToString();
+  out += ' ';
+  out += BinaryOpToString(op_);
+  out += ' ';
+  out += right_->ToString();
+  out += ')';
+  return out;
 }
 
 std::string_view ScalarFuncToString(ScalarFunc f) {

@@ -25,7 +25,7 @@ struct SearchRequest {
   /// Partial-result policy for sharded backends; ignored (harmlessly)
   /// by single-node services. Not part of CacheKey: the coalescing key
   /// identifies the *work* (kind, k, query) — policy is per waiter.
-  ShardOptions shard;
+  ShardOptions shard{};
 
   /// Cache key: kind + k + query.
   std::string CacheKey() const;

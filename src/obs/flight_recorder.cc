@@ -320,7 +320,8 @@ std::string PostmortemRecord::ToText() const {
       StrFormat("postmortem id=%llu verdict=%s",
                 (unsigned long long)stats.query_id, verdict.c_str());
   if (!cause.empty()) out += StrFormat(" cause=\"%s\"", cause.c_str());
-  out += " " + stats.ToKeyValues();
+  out += ' ';
+  out += stats.ToKeyValues();
   std::string one_line_sql = sql;
   for (char& c : one_line_sql) {
     if (c == '\n' || c == '\r') c = ' ';

@@ -55,9 +55,14 @@ std::string UnaryExpr::ToString() const {
 }
 
 std::string BinaryExpr::ToString() const {
-  return "(" + left_->ToString() + " " +
-         std::string(BinaryOpToString(op_)) + " " + right_->ToString() +
-         ")";
+  std::string out = "(";
+  out += left_->ToString();
+  out += ' ';
+  out += BinaryOpToString(op_);
+  out += ' ';
+  out += right_->ToString();
+  out += ')';
+  return out;
 }
 
 std::string FuncExpr::ToString() const {

@@ -9,7 +9,9 @@ std::string SearchQuery::ToString() const {
   std::string out;
   for (size_t i = 0; i < phrases.size(); ++i) {
     if (i > 0) out += use_near ? " NEAR " : " AND ";
-    out += "\"" + Join(phrases[i].terms, " ") + "\"";
+    out += '"';
+    out += Join(phrases[i].terms, " ");
+    out += '"';
   }
   return out;
 }
@@ -42,7 +44,8 @@ std::string DefaultSearchTemplate(size_t n, bool supports_near) {
   std::string out;
   for (size_t i = 1; i <= n; ++i) {
     if (i > 1) out += supports_near ? " near " : " ";
-    out += "%" + std::to_string(i);
+    out += '%';
+    out += std::to_string(i);
   }
   return out;
 }

@@ -118,6 +118,12 @@ Result<Rid> HeapFile::Insert(std::string_view record) {
 }
 
 Result<std::string> HeapFile::Get(Rid rid) const {
+  std::string record;
+  WSQ_RETURN_IF_ERROR(Get(rid, &record));
+  return record;
+}
+
+Status HeapFile::Get(Rid rid, std::string* record) const {
   WSQ_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(rid.page_id));
   PageGuard guard(pool_, page);
   const char* data = page->data();
@@ -130,7 +136,8 @@ Result<std::string> HeapFile::Get(Rid rid) const {
   if (offset == kTombstone) {
     return Status::NotFound("record was deleted");
   }
-  return std::string(data + offset, length);
+  record->assign(data + offset, length);
+  return Status::OK();
 }
 
 Status HeapFile::Delete(Rid rid) {

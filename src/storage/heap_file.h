@@ -36,6 +36,10 @@ class HeapFile {
   /// Fetches the record at `rid`.
   Result<std::string> Get(Rid rid) const;
 
+  /// Fetches the record at `rid` into `*record`, replacing its contents
+  /// but keeping its capacity, so a scan can reuse one buffer.
+  Status Get(Rid rid, std::string* record) const;
+
   /// Tombstones the record at `rid`.
   Status Delete(Rid rid);
 

@@ -1,7 +1,9 @@
 #include "storage/serde.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "common/macros.h"
 
@@ -157,6 +159,78 @@ Result<Row> DeserializeRow(std::string_view bytes) {
 
 Status DeserializeSpillRow(std::string_view bytes, std::vector<Value>* out) {
   return DeserializeRowImpl(bytes, /*allow_placeholders=*/true, out);
+}
+
+namespace {
+
+// Ordered-key type tags: NULL < numerics < strings, as Value::Compare.
+constexpr char kOrderedNull = 0x01;
+constexpr char kOrderedNumeric = 0x02;
+constexpr char kOrderedString = 0x03;
+
+void AppendOrderedNumeric(const Value& v, std::string* out) {
+  double image = v.NumericAsDouble();
+  if (std::isnan(image)) {
+    image = std::numeric_limits<double>::quiet_NaN();  // positive: > +inf
+  } else if (image == 0) {
+    image = 0.0;  // fold -0.0
+  }
+  // Exact int − image, |diff| <= 512 (half an ulp at 2^62..2^63). The
+  // image of INT64_MAX is 2^63, which int64 cannot hold.
+  int64_t diff = 0;
+  if (v.is_int()) {
+    int64_t i = v.AsInt();
+    diff = image >= 0x1p63 ? (i - std::numeric_limits<int64_t>::max()) - 1
+                           : i - static_cast<int64_t>(image);
+  }
+  uint64_t bits;
+  std::memcpy(&bits, &image, 8);
+  constexpr uint64_t kSign = uint64_t{1} << 63;
+  bits = (bits & kSign) != 0 ? ~bits : bits | kSign;
+  uint16_t offset_diff = static_cast<uint16_t>(diff) ^ 0x8000u;
+  char buf[10];
+  for (int k = 0; k < 8; ++k) {
+    buf[k] = static_cast<char>(bits >> (56 - 8 * k));
+  }
+  buf[8] = static_cast<char>(offset_diff >> 8);
+  buf[9] = static_cast<char>(offset_diff);
+  out->append(buf, sizeof(buf));
+}
+
+}  // namespace
+
+Status AppendOrderedKey(const Value& v, bool descending, std::string* out) {
+  const size_t start = out->size();
+  switch (v.type()) {
+    case TypeId::kNull:
+      out->push_back(kOrderedNull);
+      break;
+    case TypeId::kInt64:
+    case TypeId::kDouble:
+      out->push_back(kOrderedNumeric);
+      AppendOrderedNumeric(v, out);
+      break;
+    case TypeId::kString: {
+      out->push_back(kOrderedString);
+      std::string_view s = v.AsString();
+      for (size_t nul = s.find('\0'); nul != std::string_view::npos;
+           nul = s.find('\0')) {
+        out->append(s.data(), nul);
+        out->append("\0\xFF", 2);
+        s.remove_prefix(nul + 1);
+      }
+      out->append(s);
+      out->append("\0\0", 2);
+      break;
+    }
+    case TypeId::kPlaceholder:
+      return Status::ExecutionError(
+          "sort key is an incomplete (placeholder) value");
+  }
+  if (descending) {
+    for (size_t i = start; i < out->size(); ++i) (*out)[i] = ~(*out)[i];
+  }
+  return Status::OK();
 }
 
 }  // namespace wsq

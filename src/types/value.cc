@@ -49,8 +49,10 @@ int Value::Compare(const Value& other) const {
     case TypeId::kDouble:
       if (is_int() && other.is_int()) return Cmp(AsInt(), other.AsInt());
       return Cmp(NumericAsDouble(), other.NumericAsDouble());
-    case TypeId::kString:
-      return Cmp(AsString(), other.AsString());
+    case TypeId::kString: {
+      int c = AsString().compare(other.AsString());
+      return (c > 0) - (c < 0);
+    }
     case TypeId::kPlaceholder: {
       const Placeholder& a = AsPlaceholder();
       const Placeholder& b = other.AsPlaceholder();

@@ -25,8 +25,10 @@ struct CooccurrenceSpec {
   std::string a;
   std::string b;
   double weight = 1.0;
-  /// Optional third phrase planted NEAR `b` (empty = pair only).
-  std::string c;
+  /// Optional third phrase planted NEAR `b` (empty = pair only). The
+  /// default member initializer lets pair specs omit it without
+  /// tripping -Wmissing-field-initializers.
+  std::string c{};
 };
 
 struct CorpusConfig {

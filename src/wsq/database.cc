@@ -73,8 +73,9 @@ Status ForEachMatchingRow(
       return a.page_id != b.page_id ? a.page_id < b.page_id
                                     : a.slot < b.slot;
     });
+    std::string bytes;
     for (Rid rid : rids) {
-      WSQ_ASSIGN_OR_RETURN(std::string bytes, table->heap()->Get(rid));
+      WSQ_RETURN_IF_ERROR(table->heap()->Get(rid, &bytes));
       WSQ_RETURN_IF_ERROR(consider(rid, bytes));
     }
     return Status::OK();

@@ -4,6 +4,8 @@
 
 #include <thread>
 
+#include "common/strings.h"
+
 namespace wsq {
 namespace {
 
@@ -368,7 +370,7 @@ TEST_F(ReqSyncOpTest, ManyConcurrentCallsAllPatched) {
   for (int i = 0; i < kCalls; ++i) {
     CallId c = Delayed(&pump, {Row({Value::Int(i)})},
                        1000 + (i % 7) * 500);
-    input.push_back(Row({Value::Str("k" + std::to_string(i)),
+    input.push_back(Row({Value::Str(StrFormat("k%d", i)),
                          Value::Pending(c, 0)}));
   }
   auto out = RunReqSync(std::move(input), &pump);
@@ -461,7 +463,7 @@ TEST_F(ReqSyncOpTest, StreamingMatchesBufferedResults) {
       CallId c = Delayed(&pump, {Row({Value::Int(i)})},
                          500 + (i % 5) * 700);
       input.push_back(Row(
-          {Value::Str("k" + std::to_string(i)), Value::Pending(c, 0)}));
+          {Value::Str(StrFormat("k%d", i)), Value::Pending(c, 0)}));
     }
     StubNode stub(TwoColumnSchema());
     auto node = std::make_unique<ReqSyncNode>(

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -144,6 +148,120 @@ class SpillTest : public ::testing::Test {
   Catalog catalog_;
   VirtualTableRegistry vtables_;
 };
+
+// --- Sort against an oracle outside the operator: std::stable_sort by
+// Value::Compare, over keys with NULLs, int/double ties (5 vs 5.0),
+// -0.0, embedded NULs, bytes >= 0x80 and mixed signs.
+
+/// Exact equality: same type and same value (Row's operator== holds
+/// 5 == 5.0, which would hide a reordered int/double tie).
+bool SameRow(const Row& a, const Row& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a.value(i).type() != b.value(i).type()) return false;
+    if (a.value(i).Compare(b.value(i)) != 0) return false;
+  }
+  return true;
+}
+
+class SortOracleTest : public SpillTest {
+ protected:
+  static constexpr size_t kMixedRows = 2000;
+
+  struct OracleKey {
+    std::function<Value(const Row&)> key;
+    bool descending;
+  };
+
+  SortOracleTest() {
+    TableInfo* m = *catalog_.CreateTable(
+        "M", Schema({Column("S", TypeId::kString),
+                     Column("X", TypeId::kDouble),
+                     Column("N", TypeId::kInt64)}));
+    const std::vector<Value> strings = {
+        Value::Null(), Value::Str(""), Value::Str("a"),
+        Value::Str(std::string("a\0", 2)), Value::Str(std::string("a\0b", 3)),
+        Value::Str(std::string("\0", 1)), Value::Str("ab"), Value::Str("b"),
+        Value::Str("\x80"), Value::Str("a\xff"), Value::Str("\xff\x01")};
+    const std::vector<Value> numbers = {
+        Value::Null(), Value::Int(5), Value::Real(5.0), Value::Int(-5),
+        Value::Real(-5.0), Value::Int(0), Value::Real(-0.0),
+        Value::Real(0.5), Value::Real(-0.5),
+        Value::Int(std::numeric_limits<int64_t>::min()),
+        Value::Int(std::numeric_limits<int64_t>::max()),
+        Value::Real(-std::numeric_limits<double>::infinity())};
+    Rng rng(15);
+    for (size_t i = 0; i < kMixedRows; ++i) {
+      Value x = numbers[rng.Uniform(numbers.size())];
+      if (rng.Bernoulli(0.3)) {
+        int64_t v = static_cast<int64_t>(rng.Uniform(21)) - 10;
+        x = rng.Bernoulli(0.5) ? Value::Int(v)
+                               : Value::Real(static_cast<double>(v));
+      }
+      EXPECT_TRUE(m->Insert(Row({strings[rng.Uniform(strings.size())], x,
+                                 Value::Int(static_cast<int64_t>(i))}))
+                      .ok());
+    }
+  }
+
+  /// `order_by` over M must equal the stable sort of M's rows by
+  /// `keys`, both in memory and spilled into several runs.
+  void ExpectMatchesOracle(const std::string& order_by,
+                           const std::vector<OracleKey>& keys) {
+    const std::string select = "SELECT S, X, N FROM M";
+    std::vector<Row> expected = Run(select, 0).result.rows;
+    ASSERT_EQ(expected.size(), kMixedRows);
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](const Row& a, const Row& b) {
+                       for (const OracleKey& k : keys) {
+                         int c = k.key(a).Compare(k.key(b));
+                         if (c != 0) return k.descending ? c > 0 : c < 0;
+                       }
+                       return false;
+                     });
+    const std::string sql = select + " ORDER BY " + order_by;
+    RunResult in_memory = Run(sql, 0);
+    EXPECT_EQ(in_memory.spill_runs, 0u);
+    RunResult spilled = Run(sql, 8 * 1024);
+    EXPECT_GE(spilled.spill_runs, 4u) << sql;
+    for (const RunResult* r : {&in_memory, &spilled}) {
+      ASSERT_EQ(r->result.rows.size(), expected.size()) << sql;
+      for (size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_TRUE(SameRow(r->result.rows[i], expected[i]))
+            << sql << " runs=" << r->spill_runs << " row " << i << ": "
+            << r->result.rows[i].ToString() << " vs "
+            << expected[i].ToString();
+      }
+    }
+  }
+};
+
+TEST_F(SortOracleTest, MixedNumericKeyBothDirections) {
+  auto x = [](const Row& r) { return r.value(1); };
+  ExpectMatchesOracle("X", {{x, false}});
+  ExpectMatchesOracle("X DESC", {{x, true}});
+}
+
+TEST_F(SortOracleTest, StringKeyWithNulsAndHighBytesBothDirections) {
+  auto str = [](const Row& r) { return r.value(0); };
+  ExpectMatchesOracle("S", {{str, false}});
+  ExpectMatchesOracle("S DESC", {{str, true}});
+}
+
+TEST_F(SortOracleTest, MultiKeyMixedDirections) {
+  auto str = [](const Row& r) { return r.value(0); };
+  auto x = [](const Row& r) { return r.value(1); };
+  ExpectMatchesOracle("S, X DESC", {{str, false}, {x, true}});
+  ExpectMatchesOracle("X DESC, S", {{x, true}, {str, false}});
+  ExpectMatchesOracle("S DESC, X", {{str, true}, {x, false}});
+}
+
+TEST_F(SortOracleTest, ComputedKeyBeforeColumnKey) {
+  // N % 7 goes through Eval; X is read from the row in place.
+  auto mod7 = [](const Row& r) { return Value::Int(r.value(2).AsInt() % 7); };
+  auto x = [](const Row& r) { return r.value(1); };
+  ExpectMatchesOracle("N % 7 DESC, X", {{mod7, true}, {x, false}});
+}
 
 TEST_F(SpillTest, ExternalSortMatchesInMemorySort) {
   ExpectSpilledIdentical("SELECT K, V FROM T ORDER BY K", 32 * 1024);

@@ -45,7 +45,9 @@ TEST(InvertedIndexTest, PostingsSortedByDocWithSortedPositions) {
   DocId prev_doc = 0;
   bool first = true;
   for (const Posting& p : *posts) {
-    if (!first) EXPECT_GT(p.doc, prev_doc);
+    if (!first) {
+      EXPECT_GT(p.doc, prev_doc);
+    }
     prev_doc = p.doc;
     first = false;
     for (size_t i = 1; i < p.positions.size(); ++i) {

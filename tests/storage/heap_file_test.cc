@@ -120,6 +120,29 @@ TEST_F(HeapFileTest, GetBadSlotFails) {
   EXPECT_FALSE(file_.Get(bad).ok());
 }
 
+TEST_F(HeapFileTest, GetIntoBufferReplacesContentsAndKeepsCapacity) {
+  const std::string big(300, 'b');
+  Rid long_rid = *file_.Insert(big);
+  Rid short_rid = *file_.Insert("s");
+  Rid gone = *file_.Insert("gone");
+  ASSERT_TRUE(file_.Delete(gone).ok());
+
+  std::string buf = "stale";
+  ASSERT_TRUE(file_.Get(long_rid, &buf).ok());
+  EXPECT_EQ(buf, big);
+  const char* storage = buf.data();
+  const size_t capacity = buf.capacity();
+  ASSERT_TRUE(file_.Get(short_rid, &buf).ok());
+  EXPECT_EQ(buf, "s");
+  // The same allocation serves the next record: no per-row string.
+  EXPECT_EQ(buf.data(), storage);
+  EXPECT_EQ(buf.capacity(), capacity);
+
+  EXPECT_EQ(file_.Get(gone, &buf).code(), StatusCode::kNotFound);
+  EXPECT_EQ(file_.Get(Rid{long_rid.page_id, 99}, &buf).code(),
+            StatusCode::kNotFound);
+}
+
 TEST_F(HeapFileTest, ScannerResetRestarts) {
   ASSERT_TRUE(file_.Insert("a").ok());
   ASSERT_TRUE(file_.Insert("b").ok());

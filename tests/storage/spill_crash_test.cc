@@ -6,6 +6,7 @@
 
 #include "common/memory.h"
 #include "common/random.h"
+#include "common/strings.h"
 #include "exec/executor.h"
 #include "parser/parser.h"
 #include "plan/binder.h"
@@ -100,7 +101,10 @@ TEST(SpillCrashTest, ReaderSurfacesBitRotAsDataLoss) {
 // spill scratch files.
 class SpillCrashSweepTest : public ::testing::Test {
  protected:
-  static constexpr size_t kRows = 600;
+  // Enough rows that the 4 KiB budget spills well past the last crash
+  // op below (31): a Sort record of this table is ~50 bytes, so 4000
+  // rows write ~46 one-page runs.
+  static constexpr size_t kRows = 4000;
   static constexpr size_t kBudget = 4 * 1024;
 
   SpillCrashSweepTest() : pool_(64, &disk_), catalog_(&pool_) {
@@ -110,7 +114,8 @@ class SpillCrashSweepTest : public ::testing::Test {
     Rng rng(23);
     for (size_t i = 0; i < kRows; ++i) {
       EXPECT_TRUE(
-          t->Insert(Row({Value::Str("k" + std::to_string(rng.Uniform(97))),
+          t->Insert(Row({Value::Str(StrFormat(
+                             "k%llu", (unsigned long long)rng.Uniform(97))),
                          Value::Int(static_cast<int64_t>(i))}))
               .ok());
     }

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <set>
 
+#include "common/strings.h"
 #include "storage/heap_file.h"
 #include "wsq/database.h"
 
@@ -250,7 +251,7 @@ class DmlAccessPathTest : public ::testing::Test {
       for (int i = 0; i < 200; ++i) {
         EXPECT_TRUE(table
                         ->Insert(Row({Value::Int(i % 50),
-                                      Value::Str("s" + std::to_string(i % 25)),
+                                      Value::Str(StrFormat("s%d", i % 25)),
                                       Value::Real(i % 20), Value::Int(i)}))
                         .ok());
       }
