@@ -49,7 +49,7 @@ void BM_HeapFileInsertScan(benchmark::State& state) {
       WSQ_IGNORE_STATUS(file.Insert("record-" + std::to_string(i)));
     }
     HeapFileScanner scanner(&file);
-    std::string rec;
+    std::string_view rec;
     int n = 0;
     while (*scanner.Next(nullptr, &rec)) ++n;
     benchmark::DoNotOptimize(n);
@@ -182,6 +182,33 @@ void BM_SeqScanFilter20k(benchmark::State& state) {
 }
 BENCHMARK(BM_SeqScanFilter20k);
 
+/// 200k rows (an INT key and an INT value) behind the default 256-page
+/// pool, so a full scan also reads most pages from the disk manager.
+WsqDatabase& ScanDb200k() {
+  static WsqDatabase* const kDb = [] {
+    auto* db = new WsqDatabase();
+    WSQ_IGNORE_STATUS(db->Execute("CREATE TABLE Wide (K INT, V INT)"));
+    TableInfo* t = *db->catalog()->GetTable("Wide");
+    for (int64_t i = 0; i < 200000; ++i) {
+      WSQ_IGNORE_STATUS(
+          t->Insert(Row({Value::Int(i), Value::Int((i * 7919) % 200000)})));
+    }
+    return db;
+  }();
+  return *kDb;
+}
+
+void BM_SeqScanFilter200k(benchmark::State& state) {
+  // Reads all 200k rows to return 10; rows/s is the scan's throughput.
+  for (auto _ : state) {
+    auto r = ScanDb200k().Execute(
+        "SELECT K FROM Wide WHERE V >= 7770 AND V < 7780");
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(state.iterations() * 200000);
+}
+BENCHMARK(BM_SeqScanFilter200k)->Unit(benchmark::kMillisecond);
+
 void BM_IndexScan20k(benchmark::State& state) {
   for (auto _ : state) {
     auto r = IndexedDb().Execute("SELECT V FROM Big WHERE K = 'key777'");
@@ -226,6 +253,16 @@ void BM_OrderBy20k(benchmark::State& state) {
   state.counters["spill_runs"] = static_cast<double>(spill_runs);
 }
 BENCHMARK(BM_OrderBy20k)->Arg(0)->Arg(256)->Unit(benchmark::kMillisecond);
+
+void BM_SelectProject20k(benchmark::State& state) {
+  // Every row returned: scan, decode, project and materialize 20k rows.
+  for (auto _ : state) {
+    auto r = AcctDb().Execute("SELECT k, bal, note FROM acct");
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(state.iterations() * 20000);
+}
+BENCHMARK(BM_SelectProject20k)->Unit(benchmark::kMillisecond);
 
 void BM_BTreeInsertLookup(benchmark::State& state) {
   InMemoryDiskManager disk;

@@ -87,11 +87,12 @@ Result<IndexInfo*> TableInfo::CreateIndex(const std::string& index_name,
   // Bulk-build from existing rows.
   HeapFileScanner scanner(&heap_);
   Rid rid;
-  std::string bytes;
+  std::string_view bytes;
+  Row row;
   while (true) {
     WSQ_ASSIGN_OR_RETURN(bool more, scanner.Next(&rid, &bytes));
     if (!more) break;
-    WSQ_ASSIGN_OR_RETURN(Row row, DeserializeRow(bytes));
+    WSQ_RETURN_IF_ERROR(DeserializeRowInto(bytes, &row));
     const Value& key = row.value(column);
     if (!Indexable(key)) continue;
     WSQ_RETURN_IF_ERROR(index->tree()->Insert(key, rid));
@@ -130,15 +131,16 @@ Result<std::vector<Row>> TableInfo::ScanAll() const {
   while (true) {
     WSQ_ASSIGN_OR_RETURN(bool more, scanner.Next(&row));
     if (!more) break;
-    rows.push_back(row);
+    rows.push_back(std::move(row));
   }
   return rows;
 }
 
 Result<bool> TableScanner::Next(Row* row) {
-  WSQ_ASSIGN_OR_RETURN(bool more, scanner_.Next(nullptr, &record_));
+  std::string_view record;
+  WSQ_ASSIGN_OR_RETURN(bool more, scanner_.Next(nullptr, &record));
   if (!more) return false;
-  WSQ_ASSIGN_OR_RETURN(*row, DeserializeRow(record_));
+  WSQ_RETURN_IF_ERROR(DeserializeRowInto(record, row));
   return true;
 }
 

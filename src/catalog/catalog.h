@@ -111,21 +111,22 @@ class TableInfo {
   std::vector<std::unique_ptr<IndexInfo>> indexes_;
 };
 
-/// Streaming reader of a stored table's rows.
+/// Streaming reader of a stored table's rows. Pins one heap page at a
+/// time (see HeapFileScanner) and decodes each record straight from
+/// the page into the caller's row.
 class TableScanner {
  public:
   explicit TableScanner(const TableInfo* table)
-      : table_(table), scanner_(table->heap()) {}
+      : scanner_(table->heap()) {}
 
-  /// Returns false at end of table; fills `row` otherwise.
+  /// Returns false at end of table; otherwise overwrites `*row` in
+  /// place (see DeserializeRowInto).
   Result<bool> Next(Row* row);
 
   void Reset() { scanner_.Reset(); }
 
  private:
-  const TableInfo* table_;
   HeapFileScanner scanner_;
-  std::string record_;  // heap read buffer, reused across rows
 };
 
 /// Name → stored table registry. Virtual tables are registered separately

@@ -31,22 +31,33 @@ class FilterOperator : public Operator {
 };
 
 /// Projection π: evaluates one expression per output column.
+///
+/// The child fills one reused input row; the output is written into
+/// the caller's row in place. Computed expressions are evaluated
+/// first; then a column that exactly one output references is moved
+/// out of the input row, and a column referenced more than once is
+/// copied.
 class ProjectOperator : public Operator {
  public:
-  ProjectOperator(const ProjectNode* node, OperatorPtr child)
-      : Operator(&node->schema()),
-        node_(node),
-        child_(std::move(child)) {
-    AddChild(child_.get());
-  }
+  ProjectOperator(const ProjectNode* node, OperatorPtr child);
 
   Status OpenImpl() override { return child_->Open(); }
   Result<bool> NextImpl(Row* row) override;
   Status CloseImpl() override { return child_->Close(); }
 
  private:
+  /// How output column `out` is produced from input column `in`.
+  struct ColumnSlot {
+    size_t out;
+    size_t in;
+  };
+
   const ProjectNode* node_;
   OperatorPtr child_;
+  Row input_;
+  std::vector<size_t> computed_;  // outputs evaluated through Eval
+  std::vector<ColumnSlot> copies_;
+  std::vector<ColumnSlot> moves_;
 };
 
 /// LIMIT n: stops after n rows.

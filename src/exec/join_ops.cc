@@ -6,6 +6,7 @@ namespace wsq {
 
 Status NestedLoopJoinOperator::OpenImpl() {
   WSQ_RETURN_IF_ERROR(left_->Open());
+  right_open_ = true;
   WSQ_RETURN_IF_ERROR(right_->Open());
   right_rows_.clear();
   mem_.ReleaseAll();
@@ -17,8 +18,9 @@ Status NestedLoopJoinOperator::OpenImpl() {
     if (!more) break;
     size_t delta = row.ApproxBytes() + sizeof(Row);
     if (!mem_.TryAdd(delta)) mem_.ForceAdd(delta);
-    right_rows_.push_back(row);
+    right_rows_.push_back(std::move(row));
   }
+  right_open_ = false;
   WSQ_RETURN_IF_ERROR(right_->Close());
   have_left_ = false;
   right_pos_ = 0;
@@ -53,6 +55,10 @@ Result<bool> NestedLoopJoinOperator::NextImpl(Row* row) {
 Status NestedLoopJoinOperator::CloseImpl() {
   right_rows_.clear();
   mem_.ReleaseAll();
+  if (right_open_) {
+    right_open_ = false;
+    WSQ_IGNORE_STATUS(right_->Close());
+  }
   return left_->Close();
 }
 
@@ -84,8 +90,8 @@ Result<bool> DependentJoinOperator::NextImpl(Row* row) {
                               left_row_.value(b.left_column));
       }
       right_->BindTerms(std::move(bindings));
+      right_open_ = true;  // a failed Open is still closed
       WSQ_RETURN_IF_ERROR(right_->Open());
-      right_open_ = true;
     }
     Row right_row;
     WSQ_ASSIGN_OR_RETURN(bool more, right_->Next(&right_row));

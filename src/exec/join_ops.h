@@ -41,6 +41,10 @@ class NestedLoopJoinOperator : public Operator {
   Row left_row_;
   bool have_left_ = false;
   size_t right_pos_ = 0;
+  // True from the right child's Open attempt until its Close, so a
+  // failed Open or drain still closes it (a ReqSync below reaps its
+  // outstanding calls in Close).
+  bool right_open_ = false;
 
  protected:
   NestedLoopJoinOperator(const Schema* schema, OperatorPtr left,

@@ -30,14 +30,19 @@ Status IndexScanOperator::OpenImpl() {
 }
 
 Result<bool> IndexScanOperator::NextImpl(Row* row) {
-  if (next_ >= rids_.size()) return false;
+  if (next_ >= rids_.size()) {
+    pin_.Release();
+    return false;
+  }
+  std::string_view record;
   WSQ_RETURN_IF_ERROR(
-      node_->table()->heap()->Get(rids_[next_++], &record_));
-  WSQ_ASSIGN_OR_RETURN(*row, DeserializeRow(record_));
+      node_->table()->heap()->Get(rids_[next_++], &pin_, &record));
+  WSQ_RETURN_IF_ERROR(DeserializeRowInto(record, row));
   return true;
 }
 
 Status IndexScanOperator::CloseImpl() {
+  pin_.Release();
   rids_.clear();
   return Status::OK();
 }

@@ -27,7 +27,9 @@ class SeqScanOperator : public Operator {
   std::optional<TableScanner> scanner_;
 };
 
-/// Equality lookup through a B+ tree index.
+/// Equality or range lookup through a B+ tree index. Rows come out in
+/// (key, rid) order. The heap page of the last row read stays pinned,
+/// so consecutive rids on one page cost one FetchPage; Close drops it.
 class IndexScanOperator : public Operator {
  public:
   explicit IndexScanOperator(const IndexScanNode* node)
@@ -41,7 +43,7 @@ class IndexScanOperator : public Operator {
   const IndexScanNode* node_;
   std::vector<Rid> rids_;
   size_t next_ = 0;
-  std::string record_;  // heap read buffer, reused across rows
+  PageGuard pin_;  // heap page of rids_[next_ - 1]
 };
 
 /// Shared logic for external virtual table scans: assembling the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <utility>
 
@@ -68,55 +69,110 @@ uint64_t KeyPrefix(const char* key, size_t key_len) {
   return prefix;
 }
 
-/// Decodes the payload of a Sort record whose key is `key_len` bytes:
-/// the one place a buffered row becomes a Row again.
+/// Arena slabs double from kFirstSlabBytes up to the sort's slab
+/// limit: 1/kSlabsPerBudget of the budget headroom at Open, between
+/// kMinSlabLimit and kMaxSlabLimit bytes. A tiny budget thus gets tiny
+/// slabs, charged about once per row.
+constexpr size_t kFirstSlabBytes = 4096;
+constexpr size_t kMinSlabLimit = 64;
+constexpr size_t kMaxSlabLimit = size_t{1} << 20;
+constexpr size_t kSlabsPerBudget = 64;
+
+/// Decodes the payload of a Sort record whose key is `key_len` bytes
+/// into the caller's row: the one place a buffered row becomes a Row
+/// again.
 Status DecodeSortPayload(std::string_view record, size_t key_len,
                          Row* row) {
-  std::vector<Value> values;
-  WSQ_RETURN_IF_ERROR(DeserializeSpillRow(
-      record.substr(kKeyLenBytes + key_len), &values));
-  *row = Row(std::move(values));
-  return Status::OK();
+  return DeserializeSpillRow(record.substr(kKeyLenBytes + key_len),
+                             row->mutable_values());
 }
 
 }  // namespace
 
-Result<uint32_t> SortOperator::AppendRecord(const Row& row) {
-  const size_t start = arena_.size();
-  arena_.append(kKeyLenBytes, '\0');
+Result<uint32_t> SortOperator::EncodeRecord(const Row& row) {
+  record_.assign(kKeyLenBytes, '\0');
   const auto& keys = node_->keys();
   for (size_t i = 0; i < keys.size(); ++i) {
     if (key_columns_[i] < row.size()) {
       WSQ_RETURN_IF_ERROR(AppendOrderedKey(row.value(key_columns_[i]),
-                                           keys[i].descending, &arena_));
+                                           keys[i].descending, &record_));
     } else {
       // Computed key (or a column past the row: Eval reports it).
       WSQ_ASSIGN_OR_RETURN(Value v, keys[i].expr->Eval(row));
       WSQ_RETURN_IF_ERROR(
-          AppendOrderedKey(v, keys[i].descending, &arena_));
+          AppendOrderedKey(v, keys[i].descending, &record_));
     }
   }
   const uint32_t key_len =
-      static_cast<uint32_t>(arena_.size() - start - kKeyLenBytes);
-  std::memcpy(arena_.data() + start, &key_len, kKeyLenBytes);
-  AppendSpillRow(row.values(), &arena_);
+      static_cast<uint32_t>(record_.size() - kKeyLenBytes);
+  std::memcpy(record_.data(), &key_len, kKeyLenBytes);
+  AppendSpillRow(row.values(), &record_);
   return key_len;
 }
 
+SortOperator::Growth SortOperator::GrowthFor(size_t len) const {
+  Growth g;
+  auto step = [this](size_t held) {
+    return std::min(slab_limit_, std::max(held, kFirstSlabBytes));
+  };
+  if (slabs_.empty() || slabs_.back().size - slab_used_ < len) {
+    g.slab_bytes = std::max(len, step(arena_bytes_));
+  }
+  if (index_.size() == index_.capacity()) {
+    g.index_entries = std::max<size_t>(
+        1, step(index_.capacity() * sizeof(RecordRef)) / sizeof(RecordRef));
+  }
+  return g;
+}
+
+Status SortOperator::AddRecord(uint32_t key_len) {
+  const size_t len = record_.size();
+  Growth g = GrowthFor(len);
+  if (g.bytes() > 0 && !mem_.TryAdd(g.bytes())) {
+    // Tier 1: degrade to external sort instead of dying. The batch
+    // spilled is everything before this record, which then starts the
+    // next batch.
+    WSQ_RETURN_IF_ERROR(SpillBatch());
+    g = GrowthFor(len);
+    if (!mem_.TryAdd(g.bytes())) {
+      // Not even one slab fits (a single row larger than the whole
+      // budget): admit it as a tracked overage rather than deadlocking
+      // on an empty batch.
+      mem_.ForceAdd(g.bytes());
+    }
+  }
+  if (g.slab_bytes > 0) {
+    slabs_.push_back(
+        {std::unique_ptr<char[]>(new char[g.slab_bytes]), g.slab_bytes});
+    arena_bytes_ += g.slab_bytes;
+    slab_used_ = 0;
+  }
+  if (g.index_entries > 0) {
+    index_.reserve(index_.capacity() + g.index_entries);
+  }
+  std::memcpy(slabs_.back().data.get() + slab_used_, record_.data(), len);
+  const uint64_t pos = (uint64_t{slabs_.size() - 1} << 32) | slab_used_;
+  slab_used_ += len;
+  index_.push_back({pos, KeyPrefix(record_.data() + kKeyLenBytes, key_len),
+                    key_len, static_cast<uint32_t>(len)});
+  return Status::OK();
+}
+
 void SortOperator::SortBatch() {
-  const char* base = arena_.data();
   std::sort(index_.begin(), index_.end(),
-            [base](const RecordRef& a, const RecordRef& b) {
+            [this](const RecordRef& a, const RecordRef& b) {
               if (a.prefix != b.prefix) return a.prefix < b.prefix;
-              std::string_view ka(base + a.offset + kKeyLenBytes, a.key_len);
-              std::string_view kb(base + b.offset + kKeyLenBytes, b.key_len);
+              std::string_view ka(RecordData(a) + kKeyLenBytes, a.key_len);
+              std::string_view kb(RecordData(b) + kKeyLenBytes, b.key_len);
               int c = ka.compare(kb);
-              return c != 0 ? c < 0 : a.offset < b.offset;
+              return c != 0 ? c < 0 : a.pos < b.pos;
             });
 }
 
 void SortOperator::FreeBatch() {
-  std::string().swap(arena_);
+  slabs_.clear();
+  slab_used_ = 0;
+  arena_bytes_ = 0;
   std::vector<RecordRef>().swap(index_);
 }
 
@@ -139,7 +195,7 @@ Status SortOperator::SpillBatch() {
   for (const RecordRef& r : index_) {
     WSQ_RETURN_IF_ERROR(CheckAlive());
     WSQ_RETURN_IF_ERROR(
-        writer.Append(std::string_view(arena_.data() + r.offset, r.len)));
+        writer.Append(std::string_view(RecordData(r), r.len)));
   }
   WSQ_ASSIGN_OR_RETURN(SpillRun run, writer.Finish());
   runs_.push_back(run);
@@ -188,6 +244,11 @@ Status SortOperator::OpenImpl() {
   next_ = 0;
   mem_.ReleaseAll();
   if (ctx_ != nullptr) mem_.Bind(ctx_->memory);
+  const size_t headroom = mem_.budget() != nullptr
+                              ? mem_.budget()->Available()
+                              : std::numeric_limits<size_t>::max();
+  slab_limit_ = std::clamp(headroom / kSlabsPerBudget, kMinSlabLimit,
+                           kMaxSlabLimit);
   key_columns_.clear();
   for (const SortNode::SortKey& k : node_->keys()) {
     key_columns_.push_back(
@@ -195,38 +256,17 @@ Status SortOperator::OpenImpl() {
             ? static_cast<const BoundColumnRef&>(*k.expr).index()
             : kNoColumn);
   }
-  WSQ_RETURN_IF_ERROR(child_->Open());
   child_open_ = true;
+  WSQ_RETURN_IF_ERROR(child_->Open());
 
-  // Materialize one record per row, charging its bytes and index entry
-  // to the query's memory budget.
+  // Materialize one record per row into the slab arena.
   Row row;
   while (true) {
     WSQ_RETURN_IF_ERROR(CheckAlive());
     WSQ_ASSIGN_OR_RETURN(bool more, child_->Next(&row));
     if (!more) break;
-    const size_t offset = arena_.size();
-    WSQ_ASSIGN_OR_RETURN(uint32_t key_len, AppendRecord(row));
-    const size_t len = arena_.size() - offset;
-    const size_t delta = len + sizeof(RecordRef);
-    if (!mem_.TryAdd(delta)) {
-      // Tier 1: degrade to external sort instead of dying. The batch
-      // spilled is everything before this record, which then starts
-      // the next batch.
-      std::string record = arena_.substr(offset);
-      arena_.resize(offset);
-      WSQ_RETURN_IF_ERROR(SpillBatch());
-      arena_ = std::move(record);
-      if (!mem_.TryAdd(delta)) {
-        // A single row larger than the whole budget: admit it as a
-        // tracked overage rather than deadlocking on an empty batch.
-        mem_.ForceAdd(delta);
-      }
-    }
-    const size_t start = arena_.size() - len;
-    index_.push_back(
-        {start, KeyPrefix(arena_.data() + start + kKeyLenBytes, key_len),
-         key_len, static_cast<uint32_t>(len)});
+    WSQ_ASSIGN_OR_RETURN(uint32_t key_len, EncodeRecord(row));
+    WSQ_RETURN_IF_ERROR(AddRecord(key_len));
   }
   child_open_ = false;
   WSQ_RETURN_IF_ERROR(child_->Close());
@@ -260,7 +300,7 @@ Result<bool> SortOperator::NextImpl(Row* row) {
     if (next_ >= index_.size()) return false;
     const RecordRef& r = index_[next_++];
     WSQ_RETURN_IF_ERROR(DecodeSortPayload(
-        std::string_view(arena_.data() + r.offset, r.len), r.key_len, row));
+        std::string_view(RecordData(r), r.len), r.key_len, row));
     return true;
   }
   WSQ_RETURN_IF_ERROR(CheckAlive());
@@ -281,6 +321,7 @@ Result<bool> SortOperator::NextImpl(Row* row) {
 
 Status SortOperator::CloseImpl() {
   FreeBatch();
+  record_ = std::string();
   merge_.clear();
   heap_.clear();
   runs_.clear();
@@ -498,8 +539,8 @@ Status AggregateOperator::OpenImpl() {
   next_ = 0;
   mem_.ReleaseAll();
   if (ctx_ != nullptr) mem_.Bind(ctx_->memory);
+  child_open_ = true;  // see SortOperator::child_open_
   WSQ_RETURN_IF_ERROR(child_->Open());
-  child_open_ = true;
 
   // Group rows by key; std::map keeps deterministic group order.
   GroupMap groups(

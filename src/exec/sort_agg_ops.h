@@ -20,17 +20,21 @@ namespace wsq {
 /// records, not Rows.
 ///
 /// Each input row becomes one record, [u32 key_len][ordered key]
-/// [AppendSpillRow payload], appended to one arena string. The ordered
-/// key is the concatenation of AppendOrderedKey (storage/serde.h) over
-/// the sort keys, so memcmp on it is the ORDER BY order. An index of
-/// {offset, key prefix, key_len, len} entries is sorted by (key bytes,
-/// offset); records sit in the arena in input order, so the offset
-/// tie-break is the stable-sort tie order. A row is decoded once, when
-/// it is emitted.
+/// [AppendSpillRow payload], copied into an arena of slabs (a record
+/// never straddles two slabs). The ordered key is the concatenation of
+/// AppendOrderedKey (storage/serde.h) over the sort keys, so memcmp on
+/// it is the ORDER BY order. An index of {position, key prefix,
+/// key_len, len} entries is sorted by (key bytes, position); records
+/// are placed in input order, so the position tie-break is the
+/// stable-sort tie order. A row is decoded once, when it is emitted,
+/// straight into the caller's row.
 ///
-/// Memory governance: each record's bytes plus its index entry are
-/// charged to the query's MemoryBudget through a MemoryReservation.
-/// When a reservation fails (tier 1 of the degradation ladder), the
+/// Memory governance: the ledger charges what the batch holds, the
+/// arena slabs plus the index capacity, one MemoryReservation charge
+/// per new slab or index growth step rather than one per row. Slabs
+/// double from 4 KiB up to 1/64 of the budget headroom at Open (at
+/// most 1 MiB), so the batch that fills a budget leaves little of it
+/// unused. When a charge fails (tier 1 of the degradation ladder), the
 /// current batch is sorted and its records are written verbatim, in
 /// order, as one run to a spill temp file (checksummed pages via the
 /// DiskManager layer); Next() then k-way merges the runs on the key
@@ -38,7 +42,7 @@ namespace wsq {
 /// order and ties prefer the lower run index, so spilled output is
 /// byte-identical to the in-memory sort. Without a SpillManager in the
 /// ExecContext, a failed reservation fails the query with
-/// kResourceExhausted instead.
+/// kResourceExhausted instead. Close releases every charge.
 class SortOperator : public Operator {
  public:
   SortOperator(const SortNode* node, OperatorPtr child,
@@ -58,21 +62,44 @@ class SortOperator : public Operator {
   size_t spill_runs() const { return runs_.size(); }
 
  private:
-  /// One buffered record: arena_[offset, offset + len), whose ordered
-  /// key is the key_len bytes after the u32 header. `prefix` caches the
-  /// key's first 8 bytes so most comparisons never touch the arena.
+  /// One buffered record of `len` bytes, whose ordered key is the
+  /// key_len bytes after the u32 header. `pos` is the slab index
+  /// (high 32 bits) and the offset in the slab (low 32 bits), so pos
+  /// order is input order. `prefix` caches the key's first 8 bytes so
+  /// most comparisons never touch the arena.
   struct RecordRef {
-    size_t offset;
+    uint64_t pos;
     uint64_t prefix;
     uint32_t key_len;
     uint32_t len;
   };
+  /// One arena slab.
+  struct Slab {
+    std::unique_ptr<char[]> data;
+    size_t size;
+  };
+  /// What the batch must add to hold one more record: a new slab
+  /// and/or more index entries.
+  struct Growth {
+    size_t slab_bytes = 0;
+    size_t index_entries = 0;
+    size_t bytes() const {
+      return slab_bytes + index_entries * sizeof(RecordRef);
+    }
+  };
 
-  /// Appends `row`'s record to arena_ and returns its key length.
-  Result<uint32_t> AppendRecord(const Row& row);
-  /// Sorts index_ by (key bytes, offset).
+  /// Encodes `row` as one record into record_; returns its key length.
+  Result<uint32_t> EncodeRecord(const Row& row);
+  /// Adds record_ to the batch, charging any growth it needs first and
+  /// spilling the batch when the charge fails.
+  Status AddRecord(uint32_t key_len);
+  Growth GrowthFor(size_t len) const;
+  const char* RecordData(const RecordRef& r) const {
+    return slabs_[r.pos >> 32].data.get() + static_cast<uint32_t>(r.pos);
+  }
+  /// Sorts index_ by (key bytes, pos).
   void SortBatch();
-  /// Frees the batch's arena and index capacity, not just their size.
+  /// Frees the batch's slabs and index capacity, not just their size.
   void FreeBatch();
   /// Merge-heap order: true iff source `a` emits after source `b`
   /// (greater key, or an equal key from a later run).
@@ -92,11 +119,16 @@ class SortOperator : public Operator {
   /// column reference (read in place, no Eval copy), else kNoColumn.
   std::vector<size_t> key_columns_;
   static constexpr size_t kNoColumn = static_cast<size_t>(-1);
-  std::string arena_;
+  std::string record_;  // the record being added, reused
+  std::vector<Slab> slabs_;
+  size_t slab_used_ = 0;    // bytes used in slabs_.back()
+  size_t arena_bytes_ = 0;  // sum of the slab sizes
+  size_t slab_limit_ = 0;   // largest slab this sort allocates
   std::vector<RecordRef> index_;
   size_t next_ = 0;
-  // True while the child is open. Open() closes the child after a full
-  // drain; if the drain errors out, Close() must cascade instead so a
+  // True from the moment the child's Open is attempted until the child
+  // is closed: Open() closes the child after a full drain, and if the
+  // child's Open or the drain errors out, Close() must cascade so a
   // ReqSync below reaps its outstanding calls.
   bool child_open_ = false;
 

@@ -188,12 +188,25 @@ void WriteEntryAt(char* p, const std::string& key, Rid rid) {
   std::memcpy(p + kKeySlot + 4, &rid.slot, 2);
 }
 
-Entry ReadEntryAt(const char* p) {
-  Entry e;
-  e.key.assign(p, kKeySlot);
+/// An entry read in place: `key` points into the pinned page, so it is
+/// valid only while the page stays pinned. Lookups compare these; only
+/// the split paths, which rewrite the page, copy entries out.
+struct EntryView {
+  std::string_view key;  // the padded kKeySlot bytes
+  Rid rid;
+};
+
+EntryView ViewEntryAt(const char* p) {
+  EntryView e;
+  e.key = std::string_view(p, kKeySlot);
   std::memcpy(&e.rid.page_id, p + kKeySlot, 4);
   std::memcpy(&e.rid.slot, p + kKeySlot + 4, 2);
   return e;
+}
+
+Entry ReadEntryAt(const char* p) {
+  EntryView v = ViewEntryAt(p);
+  return Entry{std::string(v.key), v.rid};
 }
 
 PageId ReadChildAt(const char* d, size_t i) {
@@ -258,7 +271,7 @@ Result<PageId> BPlusTree::FindLeaf(const std::string& key) const {
     size_t n = NumKeys(d);
     size_t child = 0;
     for (size_t i = 0; i < n; ++i) {
-      Entry sep = ReadEntryAt(InternalEntryPtr(d, i));
+      EntryView sep = ViewEntryAt(InternalEntryPtr(d, i));
       if (CompareComposite(key, Rid{-1, 0}, sep.key, sep.rid) >= 0) {
         child = i + 1;
       } else {
@@ -323,7 +336,7 @@ Status BPlusTree::InsertInto(PageId page_id, const std::string& key,
     // Choose the child, recurse, then absorb a possible child split.
     size_t child_idx = 0;
     for (size_t i = 0; i < n; ++i) {
-      Entry sep = ReadEntryAt(InternalEntryPtr(d, i));
+      EntryView sep = ViewEntryAt(InternalEntryPtr(d, i));
       if (CompareComposite(key, rid, sep.key, sep.rid) >= 0) {
         child_idx = i + 1;
       } else {
@@ -413,7 +426,7 @@ Status BPlusTree::InsertInto(PageId page_id, const std::string& key,
   // Leaf: position by composite order.
   size_t pos = 0;
   for (; pos < n; ++pos) {
-    Entry e = ReadEntryAt(LeafEntryPtr(d, pos));
+    EntryView e = ViewEntryAt(LeafEntryPtr(d, pos));
     int c = CompareComposite(key, rid, e.key, e.rid);
     if (c == 0) {
       return Status::AlreadyExists("duplicate index entry");
@@ -496,7 +509,7 @@ Status BPlusTree::RemoveFrom(PageId page_id, const std::string& key,
   if (!IsLeaf(d)) {
     size_t child_idx = 0;
     for (size_t i = 0; i < n; ++i) {
-      Entry sep = ReadEntryAt(InternalEntryPtr(d, i));
+      EntryView sep = ViewEntryAt(InternalEntryPtr(d, i));
       if (CompareComposite(key, rid, sep.key, sep.rid) >= 0) {
         child_idx = i + 1;
       } else {
@@ -509,7 +522,7 @@ Status BPlusTree::RemoveFrom(PageId page_id, const std::string& key,
   }
 
   for (size_t i = 0; i < n; ++i) {
-    Entry e = ReadEntryAt(LeafEntryPtr(d, i));
+    EntryView e = ViewEntryAt(LeafEntryPtr(d, i));
     int c = CompareComposite(key, rid, e.key, e.rid);
     if (c == 0) {
       std::memmove(LeafEntryPtr(d, i), LeafEntryPtr(d, i + 1),
@@ -538,7 +551,7 @@ Result<std::vector<Rid>> BPlusTree::SearchEqual(const Value& key) const {
     size_t n = NumKeys(d);
     bool past = false;
     for (size_t i = 0; i < n; ++i) {
-      Entry e = ReadEntryAt(LeafEntryPtr(d, i));
+      EntryView e = ViewEntryAt(LeafEntryPtr(d, i));
       int c = CompareKeys(encoded, e.key);
       if (c == 0) {
         out.push_back(e.rid);
@@ -589,7 +602,7 @@ Result<std::vector<Rid>> BPlusTree::SearchRange(
     size_t n = NumKeys(d);
     bool past = false;
     for (size_t i = 0; i < n; ++i) {
-      Entry e = ReadEntryAt(LeafEntryPtr(d, i));
+      EntryView e = ViewEntryAt(LeafEntryPtr(d, i));
       if (lo != nullptr) {
         int c = CompareKeys(e.key, lo_key);
         if (c < 0 || (c == 0 && !lo_inclusive)) continue;
@@ -634,7 +647,7 @@ Result<std::vector<std::pair<Value, Rid>>> BPlusTree::ScanAll() const {
     const char* d = page->data();
     size_t n = NumKeys(d);
     for (size_t i = 0; i < n; ++i) {
-      Entry e = ReadEntryAt(LeafEntryPtr(d, i));
+      EntryView e = ViewEntryAt(LeafEntryPtr(d, i));
       WSQ_ASSIGN_OR_RETURN(Value v, DecodeBTreeKey(e.key));
       out.emplace_back(std::move(v), e.rid);
     }
@@ -679,10 +692,10 @@ Status BPlusTree::CheckInvariants() const {
     const char* d = page->data();
     size_t n = NumKeys(d);
     for (size_t i = 1; i < n; ++i) {
-      Entry a = IsLeaf(d) ? ReadEntryAt(LeafEntryPtr(d, i - 1))
-                          : ReadEntryAt(InternalEntryPtr(d, i - 1));
-      Entry b = IsLeaf(d) ? ReadEntryAt(LeafEntryPtr(d, i))
-                          : ReadEntryAt(InternalEntryPtr(d, i));
+      EntryView a = IsLeaf(d) ? ViewEntryAt(LeafEntryPtr(d, i - 1))
+                              : ViewEntryAt(InternalEntryPtr(d, i - 1));
+      EntryView b = IsLeaf(d) ? ViewEntryAt(LeafEntryPtr(d, i))
+                              : ViewEntryAt(InternalEntryPtr(d, i));
       if (CompareComposite(a.key, a.rid, b.key, b.rid) >= 0) {
         return Status::Internal("node entries out of order");
       }

@@ -225,6 +225,15 @@ size_t BufferPool::resident_pages() const {
   return page_table_.size();
 }
 
+size_t BufferPool::pinned_pages() const {
+  MutexLock lock(&mu_);
+  size_t pinned = 0;
+  for (const auto& [page_id, frame] : page_table_) {
+    if (frames_[frame]->pin_count_ > 0) ++pinned;
+  }
+  return pinned;
+}
+
 Result<size_t> BufferPool::GetVictimFrame() {
   if (!free_frames_.empty()) {
     size_t frame = free_frames_.back();

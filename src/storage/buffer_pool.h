@@ -86,6 +86,9 @@ class BufferPool {
   /// Pages currently resident (each charges kPageSize to an attached
   /// budget).
   size_t resident_pages() const;
+  /// Resident pages holding at least one pin. Zero between statements:
+  /// tests use it to check that every scan dropped its pins.
+  size_t pinned_pages() const;
   BufferPoolStats stats() const;
 
  private:
@@ -120,6 +123,8 @@ class BufferPool {
 /// RAII pin guard: unpins on destruction.
 class PageGuard {
  public:
+  /// An empty guard, holding no pin.
+  PageGuard() = default;
   PageGuard(BufferPool* pool, Page* page) : pool_(pool), page_(page) {}
   PageGuard(const PageGuard&) = delete;
   PageGuard& operator=(const PageGuard&) = delete;
@@ -156,8 +161,8 @@ class PageGuard {
   }
 
  private:
-  BufferPool* pool_;
-  Page* page_;
+  BufferPool* pool_ = nullptr;
+  Page* page_ = nullptr;
   bool dirty_ = false;
 };
 

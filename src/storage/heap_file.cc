@@ -118,15 +118,21 @@ Result<Rid> HeapFile::Insert(std::string_view record) {
 }
 
 Result<std::string> HeapFile::Get(Rid rid) const {
-  std::string record;
-  WSQ_RETURN_IF_ERROR(Get(rid, &record));
-  return record;
+  PageGuard pin;
+  std::string_view record;
+  WSQ_RETURN_IF_ERROR(Get(rid, &pin, &record));
+  return std::string(record);
 }
 
-Status HeapFile::Get(Rid rid, std::string* record) const {
-  WSQ_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(rid.page_id));
-  PageGuard guard(pool_, page);
-  const char* data = page->data();
+Status HeapFile::Get(Rid rid, PageGuard* pin,
+                     std::string_view* record) const {
+  if (pin->get() == nullptr || pin->get()->page_id() != rid.page_id) {
+    // Drop the old pin first: a tiny pool may have no frame to spare.
+    pin->Release();
+    WSQ_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(rid.page_id));
+    *pin = PageGuard(pool_, page);
+  }
+  const char* data = pin->get()->data();
   if (rid.slot >= GetNumSlots(data)) {
     return Status::NotFound(StrFormat("no slot %u on page %d", rid.slot,
                                       rid.page_id));
@@ -136,7 +142,7 @@ Status HeapFile::Get(Rid rid, std::string* record) const {
   if (offset == kTombstone) {
     return Status::NotFound("record was deleted");
   }
-  record->assign(data + offset, length);
+  *record = std::string_view(data + offset, length);
   return Status::OK();
 }
 
@@ -173,15 +179,21 @@ HeapFileScanner::HeapFileScanner(const HeapFile* file)
     : file_(file), current_page_(file->first_page_) {}
 
 void HeapFileScanner::Reset() {
+  pin_.Release();
   current_page_ = file_->first_page_;
   next_slot_ = 0;
 }
 
-Result<bool> HeapFileScanner::Next(Rid* rid, std::string* record) {
+Result<bool> HeapFileScanner::Next(Rid* rid, std::string_view* record) {
   while (current_page_ != kInvalidPageId) {
-    WSQ_ASSIGN_OR_RETURN(Page * page, file_->pool_->FetchPage(current_page_));
-    PageGuard guard(file_->pool_, page);
-    const char* data = page->data();
+    if (pin_.get() == nullptr) {
+      WSQ_ASSIGN_OR_RETURN(Page * page,
+                           file_->pool_->FetchPage(current_page_));
+      pin_ = PageGuard(file_->pool_, page);
+    }
+    // Slot count and chain pointer are re-read on every call: rows
+    // appended to the pinned page since the last call are still seen.
+    const char* data = pin_->data();
     uint16_t num_slots = GetNumSlots(data);
     while (next_slot_ < num_slots) {
       uint16_t slot = next_slot_++;
@@ -189,11 +201,12 @@ Result<bool> HeapFileScanner::Next(Rid* rid, std::string* record) {
       GetSlot(data, slot, &offset, &length);
       if (offset == kTombstone) continue;
       if (rid != nullptr) *rid = Rid{current_page_, slot};
-      if (record != nullptr) record->assign(data + offset, length);
+      if (record != nullptr) *record = std::string_view(data + offset, length);
       return true;
     }
     current_page_ = GetNextPage(data);
     next_slot_ = 0;
+    pin_.Release();
   }
   return false;
 }

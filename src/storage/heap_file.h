@@ -2,6 +2,7 @@
 #define WSQ_STORAGE_HEAP_FILE_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -36,9 +37,12 @@ class HeapFile {
   /// Fetches the record at `rid`.
   Result<std::string> Get(Rid rid) const;
 
-  /// Fetches the record at `rid` into `*record`, replacing its contents
-  /// but keeping its capacity, so a scan can reuse one buffer.
-  Status Get(Rid rid, std::string* record) const;
+  /// Points `*record` at the record at `rid` inside its page, which
+  /// `*pin` keeps pinned. A pin that already holds rid's page is reused;
+  /// otherwise it is released and moved to that page, so reading rids
+  /// in page order costs one FetchPage per page. The view is valid
+  /// while `*pin` holds the page.
+  Status Get(Rid rid, PageGuard* pin, std::string_view* record) const;
 
   /// Tombstones the record at `rid`.
   Status Delete(Rid rid);
@@ -62,13 +66,20 @@ class HeapFile {
 };
 
 /// Forward scan over all live records of a HeapFile.
+///
+/// The scanner keeps its current page pinned between Next calls, so a
+/// scan costs one FetchPage per page and hands out records as views
+/// into the page. The pin is dropped when the scan moves to the next
+/// page, at end of file, on Reset, and on destruction.
 class HeapFileScanner {
  public:
   explicit HeapFileScanner(const HeapFile* file);
 
   /// Advances to the next record. Returns false at end of file.
-  /// On success fills `rid` and `record` (both may be null).
-  Result<bool> Next(Rid* rid, std::string* record);
+  /// On success fills `rid` and `record` (both may be null); the view
+  /// is valid until the next call to Next or Reset, or the scanner's
+  /// destruction.
+  Result<bool> Next(Rid* rid, std::string_view* record);
 
   /// Restarts the scan from the beginning.
   void Reset();
@@ -77,6 +88,7 @@ class HeapFileScanner {
   const HeapFile* file_;
   PageId current_page_;
   uint16_t next_slot_ = 0;
+  PageGuard pin_;  // holds current_page_ while it is being read
 };
 
 }  // namespace wsq

@@ -37,31 +37,34 @@ bool GetU64(std::string_view* in, uint64_t* v) {
   return true;
 }
 
-/// Shared decoder into `*row`, replacing its contents. Every value
-/// takes at least its tag byte, so the reserve is capped by the bytes
-/// left: a corrupt arity cannot demand a huge allocation.
+/// Shared decoder into `*row`, overwriting it in place: the vector is
+/// resized to the arity (keeping its capacity) and each slot is
+/// assigned, so a string slot that already holds a string reuses its
+/// buffer. Every value takes at least its tag byte, so an arity larger
+/// than the bytes left is corrupt and never allocates. On error the
+/// contents of `*row` are unspecified.
 Status DeserializeRowImpl(std::string_view bytes, bool allow_placeholders,
                           std::vector<Value>* row) {
   uint32_t n;
   if (!GetU32(&bytes, &n)) {
     return Status::IOError("corrupt row: missing arity");
   }
-  row->clear();
-  row->reserve(std::min<size_t>(n, bytes.size()));
-  for (uint32_t i = 0; i < n; ++i) {
+  if (n > bytes.size()) return Status::IOError("corrupt row: missing tag");
+  row->resize(n);
+  for (Value& out : *row) {
     if (bytes.empty()) return Status::IOError("corrupt row: missing tag");
     TypeId tag = static_cast<TypeId>(bytes.front());
     bytes.remove_prefix(1);
     switch (tag) {
       case TypeId::kNull:
-        row->emplace_back(Value::Null());
+        out = Value::Null();
         break;
       case TypeId::kInt64: {
         uint64_t v;
         if (!GetU64(&bytes, &v)) {
           return Status::IOError("corrupt row: truncated int");
         }
-        row->emplace_back(Value::Int(static_cast<int64_t>(v)));
+        out = Value::Int(static_cast<int64_t>(v));
         break;
       }
       case TypeId::kDouble: {
@@ -71,7 +74,7 @@ Status DeserializeRowImpl(std::string_view bytes, bool allow_placeholders,
         }
         double d;
         std::memcpy(&d, &bits, 8);
-        row->emplace_back(Value::Real(d));
+        out = Value::Real(d);
         break;
       }
       case TypeId::kString: {
@@ -79,7 +82,7 @@ Status DeserializeRowImpl(std::string_view bytes, bool allow_placeholders,
         if (!GetU32(&bytes, &len) || bytes.size() < len) {
           return Status::IOError("corrupt row: truncated string");
         }
-        row->emplace_back(Value::Str(std::string(bytes.substr(0, len))));
+        out.AssignString(bytes.substr(0, len));
         bytes.remove_prefix(len);
         break;
       }
@@ -92,8 +95,8 @@ Status DeserializeRowImpl(std::string_view bytes, bool allow_placeholders,
         if (!GetU64(&bytes, &call) || !GetU32(&bytes, &field)) {
           return Status::IOError("corrupt row: truncated placeholder");
         }
-        row->emplace_back(Value::Pending(static_cast<CallId>(call),
-                                         static_cast<int32_t>(field)));
+        out = Value::Pending(static_cast<CallId>(call),
+                             static_cast<int32_t>(field));
         break;
       }
       default:
@@ -151,10 +154,14 @@ Result<std::string> SerializeRow(const Row& row) {
 }
 
 Result<Row> DeserializeRow(std::string_view bytes) {
-  std::vector<Value> values;
-  WSQ_RETURN_IF_ERROR(
-      DeserializeRowImpl(bytes, /*allow_placeholders=*/false, &values));
-  return Row(std::move(values));
+  Row row;
+  WSQ_RETURN_IF_ERROR(DeserializeRowInto(bytes, &row));
+  return row;
+}
+
+Status DeserializeRowInto(std::string_view bytes, Row* row) {
+  return DeserializeRowImpl(bytes, /*allow_placeholders=*/false,
+                            row->mutable_values());
 }
 
 Status DeserializeSpillRow(std::string_view bytes, std::vector<Value>* out) {

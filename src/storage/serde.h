@@ -17,6 +17,12 @@ Result<std::string> SerializeRow(const Row& row);
 /// Parses a byte string produced by SerializeRow.
 Result<Row> DeserializeRow(std::string_view bytes);
 
+/// Parses a byte string produced by SerializeRow into `*row`,
+/// overwriting it in place: the row's vector capacity and its string
+/// buffers are reused, so a scan decoding into one Row allocates only
+/// for values that outgrow them. On error `*row` is unspecified.
+Status DeserializeRowInto(std::string_view bytes, Row* row);
+
 /// Spill variant: same format, but Placeholder values are allowed
 /// (tagged with their CallId + field). Spill files are transient and
 /// strictly in-process — a CallId is meaningful for the lifetime of
@@ -25,8 +31,8 @@ Result<Row> DeserializeRow(std::string_view bytes);
 /// Appends to `*out`, so a spill record is built in one reused buffer.
 void AppendSpillRow(std::span<const Value> values, std::string* out);
 
-/// Parses bytes produced by AppendSpillRow into `*out`, replacing its
-/// contents while keeping its capacity.
+/// Parses bytes produced by AppendSpillRow into `*out`, overwriting it
+/// in place as DeserializeRowInto does.
 Status DeserializeSpillRow(std::string_view bytes, std::vector<Value>* out);
 
 /// Appends the order-preserving ("memcmp") image of `v` to `*out`:

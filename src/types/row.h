@@ -24,6 +24,9 @@ class Row {
   const Value& value(size_t i) const { return values_[i]; }
   Value& value(size_t i) { return values_[i]; }
   const std::vector<Value>& values() const { return values_; }
+  /// For producers that overwrite a reused row in place (decoders,
+  /// projection): resizing keeps the vector's capacity.
+  std::vector<Value>* mutable_values() { return &values_; }
 
   void Append(Value v) { values_.push_back(std::move(v)); }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "common/result.h"
@@ -78,6 +79,17 @@ class Value {
   const std::string& AsString() const { return std::get<std::string>(rep_); }
   const Placeholder& AsPlaceholder() const {
     return std::get<Placeholder>(rep_);
+  }
+
+  /// Makes this a STRING holding `s`. A value that already holds a
+  /// string keeps its buffer, so decoding into a reused row does not
+  /// allocate once the buffer is large enough.
+  void AssignString(std::string_view s) {
+    if (auto* str = std::get_if<std::string>(&rep_)) {
+      str->assign(s);
+    } else {
+      rep_.emplace<std::string>(s);
+    }
   }
 
   /// Numeric value widened to double (INT64 or DOUBLE only).

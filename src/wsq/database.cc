@@ -40,12 +40,13 @@ Status ForEachMatchingRow(
     const CancellationToken& token,
     const std::function<Status(Rid, const Row&)>& visit) {
   PageId polled = kInvalidPageId;
-  auto consider = [&](Rid rid, const std::string& bytes) -> Status {
+  Row row;  // decoded in place, candidate after candidate
+  auto consider = [&](Rid rid, std::string_view bytes) -> Status {
     if (rid.page_id != polled) {
       WSQ_RETURN_IF_ERROR(token.CheckAlive());
       polled = rid.page_id;
     }
-    WSQ_ASSIGN_OR_RETURN(Row row, DeserializeRow(bytes));
+    WSQ_RETURN_IF_ERROR(DeserializeRowInto(bytes, &row));
     if (predicate != nullptr) {
       WSQ_ASSIGN_OR_RETURN(bool match, EvalPredicate(*predicate, row));
       if (!match) return Status::OK();
@@ -73,9 +74,10 @@ Status ForEachMatchingRow(
       return a.page_id != b.page_id ? a.page_id < b.page_id
                                     : a.slot < b.slot;
     });
-    std::string bytes;
+    PageGuard pin;
+    std::string_view bytes;
     for (Rid rid : rids) {
-      WSQ_RETURN_IF_ERROR(table->heap()->Get(rid, &bytes));
+      WSQ_RETURN_IF_ERROR(table->heap()->Get(rid, &pin, &bytes));
       WSQ_RETURN_IF_ERROR(consider(rid, bytes));
     }
     return Status::OK();
@@ -83,7 +85,7 @@ Status ForEachMatchingRow(
 
   HeapFileScanner scanner(table->heap());
   Rid rid;
-  std::string bytes;
+  std::string_view bytes;
   while (true) {
     WSQ_ASSIGN_OR_RETURN(bool more, scanner.Next(&rid, &bytes));
     if (!more) return Status::OK();

@@ -5,6 +5,9 @@
 #include <thread>
 
 #include "common/strings.h"
+#include "exec/join_ops.h"
+#include "exec/sort_agg_ops.h"
+#include "expr/expr.h"
 
 namespace wsq {
 namespace {
@@ -485,6 +488,168 @@ TEST_F(ReqSyncOpTest, StreamingMatchesBufferedResults) {
     ASSERT_TRUE(op.Close().ok());
     EXPECT_EQ(seen.size(), 20u) << "streaming=" << streaming;
   }
+}
+
+// --- Close after a failed Open ---
+//
+// The executor's error path closes the root after a failed Open. A
+// blocking operator must cascade that Close to a child whose Open or
+// drain failed, or the calls the child registered are never reaped and
+// stay in the pump's result hash. Failures here are injected, not
+// timed.
+
+// Registers `calls` pump calls that complete at once, then either
+// fails Open or emits one placeholder row per call and fails the Next
+// after the last. Close reaps the calls it never emitted (as AEVScan
+// does); an emitted call belongs to the consumer of its row.
+class FailingCallsOperator : public Operator {
+ public:
+  enum class FailAt { kOpen, kNextAfterRows };
+
+  FailingCallsOperator(const Schema* schema, ReqPump* pump, int calls,
+                       FailAt fail_at)
+      : Operator(schema), pump_(pump), calls_(calls), fail_at_(fail_at) {}
+
+  Status OpenImpl() override {
+    for (int i = 0; i < calls_; ++i) {
+      pending_.push_back(pump_->Register("engine", [](CallCompletion done) {
+        done(CallResult{Status::OK(), {Row({Value::Int(7)})}});
+      }));
+    }
+    if (fail_at_ == FailAt::kOpen) {
+      return Status::ExecutionError("injected Open failure");
+    }
+    return Status::OK();
+  }
+  Result<bool> NextImpl(Row* row) override {
+    if (pending_.empty()) {
+      return Status::ExecutionError("injected Next failure");
+    }
+    *row = Row({Value::Str("k"), Value::Pending(pending_.back(), 0)});
+    pending_.pop_back();
+    return true;
+  }
+  Status CloseImpl() override {
+    ++closes_;
+    for (CallId call : pending_) {
+      (void)pump_->CancelCall(call);
+      WSQ_IGNORE_STATUS(pump_->TakeBlocking(call).status);
+    }
+    pending_.clear();
+    return Status::OK();
+  }
+
+  int closes() const { return closes_; }
+
+ private:
+  ReqPump* pump_;
+  int calls_;
+  FailAt fail_at_;
+  std::vector<CallId> pending_;
+  int closes_ = 0;
+};
+
+class CloseAfterFailedOpenTest : public ::testing::Test {
+ protected:
+  CloseAfterFailedOpenTest() : stub_(TwoColumnSchema()) {}
+
+  std::unique_ptr<FailingCallsOperator> Failing(
+      FailingCallsOperator::FailAt fail_at) {
+    auto op = std::make_unique<FailingCallsOperator>(&stub_.schema(),
+                                                     &pump_, 8, fail_at);
+    failing_ = op.get();
+    return op;
+  }
+
+  /// ExecutePlan's protocol on a hand-built tree: a failed Open is
+  /// followed by Close, and the Open error is returned.
+  static Status Execute(Operator* root) {
+    Status opened = root->Open();
+    if (!opened.ok()) {
+      WSQ_IGNORE_STATUS(root->Close());
+      return opened;
+    }
+    Row row;
+    while (true) {
+      Result<bool> more = root->Next(&row);
+      if (!more.ok()) {
+        WSQ_IGNORE_STATUS(root->Close());
+        return more.status();
+      }
+      if (!*more) break;
+    }
+    return root->Close();
+  }
+
+  void ExpectReaped() {
+    pump_.Drain();
+    EXPECT_EQ(failing_->closes(), 1);
+    EXPECT_EQ(pump_.pending_results(), 0u);
+    ReqPumpStats stats = pump_.stats();
+    EXPECT_EQ(stats.registered, 8u);
+    EXPECT_EQ(stats.registered,
+              stats.completed + stats.cancelled + stats.shed);
+  }
+
+  static SortNode MakeSortNode() {
+    std::vector<SortNode::SortKey> keys;
+    keys.push_back({std::make_unique<BoundColumnRef>(
+                        0, Column("K", TypeId::kString, "t")),
+                    false});
+    return SortNode(std::make_unique<StubNode>(TwoColumnSchema()),
+                    std::move(keys));
+  }
+
+  ReqPump pump_;
+  StubNode stub_;
+  FailingCallsOperator* failing_ = nullptr;
+};
+
+TEST_F(CloseAfterFailedOpenTest, SortClosesChildWhoseOpenFailed) {
+  SortNode node = MakeSortNode();
+  SortOperator sort(&node, Failing(FailingCallsOperator::FailAt::kOpen));
+  EXPECT_EQ(Execute(&sort).code(), StatusCode::kExecutionError);
+  ExpectReaped();
+}
+
+TEST_F(CloseAfterFailedOpenTest, AggregateClosesChildWhoseOpenFailed) {
+  std::vector<AggregateNode::AggSpec> aggs;
+  aggs.push_back({AggFunc::kCountStar, nullptr});
+  AggregateNode node(std::make_unique<StubNode>(TwoColumnSchema()), {},
+                     std::move(aggs),
+                     Schema({Column("n", TypeId::kInt64, "")}));
+  AggregateOperator agg(&node,
+                        Failing(FailingCallsOperator::FailAt::kOpen));
+  EXPECT_EQ(Execute(&agg).code(), StatusCode::kExecutionError);
+  ExpectReaped();
+}
+
+TEST_F(CloseAfterFailedOpenTest, JoinClosesRightChildWhoseOpenFailed) {
+  CrossProductNode node(std::make_unique<StubNode>(TwoColumnSchema()),
+                        std::make_unique<StubNode>(TwoColumnSchema()));
+  CrossProductOperator join(
+      &node,
+      std::make_unique<VectorOperator>(
+          &stub_.schema(),
+          std::vector<Row>{Row({Value::Str("a"), Value::Int(1)})}),
+      Failing(FailingCallsOperator::FailAt::kOpen));
+  EXPECT_EQ(Execute(&join).code(), StatusCode::kExecutionError);
+  ExpectReaped();
+}
+
+TEST_F(CloseAfterFailedOpenTest, SortClosesReqSyncWhoseDrainFailed) {
+  // The full-buffering ReqSync absorbs every placeholder row, then its
+  // drain fails, so its Open fails while it waits on all 8 calls. Only
+  // its Close, reached through Sort's, reaps them.
+  SortNode sort_node = MakeSortNode();
+  ReqSyncNode sync_node(std::make_unique<StubNode>(TwoColumnSchema()),
+                        std::vector<size_t>{1});
+  auto sync = std::make_unique<ReqSyncOperator>(
+      &sync_node, Failing(FailingCallsOperator::FailAt::kNextAfterRows),
+      &pump_);
+  SortOperator sort(&sort_node, std::move(sync));
+  EXPECT_EQ(Execute(&sort).code(), StatusCode::kExecutionError);
+  ExpectReaped();
 }
 
 }  // namespace

@@ -45,7 +45,7 @@ TEST_F(HeapFileTest, ScanReturnsAllInInsertionOrder) {
     ASSERT_TRUE(file_.Insert("rec-" + std::to_string(i)).ok());
   }
   HeapFileScanner scanner(&file_);
-  std::string rec;
+  std::string_view rec;
   for (int i = 0; i < 10; ++i) {
     auto more = scanner.Next(nullptr, &rec);
     ASSERT_TRUE(more.ok() && *more);
@@ -68,7 +68,7 @@ TEST_F(HeapFileTest, SpillsAcrossPages) {
   EXPECT_EQ(*file_.Count(), kRecords);
 
   HeapFileScanner scanner(&file_);
-  std::string rec;
+  std::string_view rec;
   int seen = 0;
   while (*scanner.Next(nullptr, &rec)) {
     EXPECT_EQ(rec, big + std::to_string(seen));
@@ -101,7 +101,7 @@ TEST_F(HeapFileTest, DeleteHidesRecordFromScan) {
   EXPECT_EQ(file_.Get(gone).status().code(), StatusCode::kNotFound);
 
   HeapFileScanner scanner(&file_);
-  std::string rec;
+  std::string_view rec;
   ASSERT_TRUE(*scanner.Next(nullptr, &rec));
   EXPECT_EQ(rec, "keep");
   EXPECT_FALSE(*scanner.Next(nullptr, nullptr));
@@ -120,34 +120,46 @@ TEST_F(HeapFileTest, GetBadSlotFails) {
   EXPECT_FALSE(file_.Get(bad).ok());
 }
 
-TEST_F(HeapFileTest, GetIntoBufferReplacesContentsAndKeepsCapacity) {
-  const std::string big(300, 'b');
-  Rid long_rid = *file_.Insert(big);
-  Rid short_rid = *file_.Insert("s");
+TEST_F(HeapFileTest, PinnedGetRepinsOnlyWhenThePageChanges) {
+  const std::string big(1000, 'b');
+  Rid first = *file_.Insert(big);
+  Rid second = *file_.Insert("s");
   Rid gone = *file_.Insert("gone");
   ASSERT_TRUE(file_.Delete(gone).ok());
+  Rid other;
+  do {
+    other = *file_.Insert(big);
+  } while (other.page_id == first.page_id);
+  ASSERT_EQ(second.page_id, first.page_id);
 
-  std::string buf = "stale";
-  ASSERT_TRUE(file_.Get(long_rid, &buf).ok());
-  EXPECT_EQ(buf, big);
-  const char* storage = buf.data();
-  const size_t capacity = buf.capacity();
-  ASSERT_TRUE(file_.Get(short_rid, &buf).ok());
-  EXPECT_EQ(buf, "s");
-  // The same allocation serves the next record: no per-row string.
-  EXPECT_EQ(buf.data(), storage);
-  EXPECT_EQ(buf.capacity(), capacity);
-
-  EXPECT_EQ(file_.Get(gone, &buf).code(), StatusCode::kNotFound);
-  EXPECT_EQ(file_.Get(Rid{long_rid.page_id, 99}, &buf).code(),
+  auto fetches = [this] {
+    BufferPoolStats s = pool_.stats();
+    return s.hits + s.misses;
+  };
+  const uint64_t before = fetches();
+  PageGuard pin;
+  std::string_view rec;
+  ASSERT_TRUE(file_.Get(first, &pin, &rec).ok());
+  EXPECT_EQ(rec, big);
+  ASSERT_TRUE(file_.Get(second, &pin, &rec).ok());
+  EXPECT_EQ(rec, "s");
+  EXPECT_EQ(fetches() - before, 1u);  // one page, one pin
+  EXPECT_EQ(file_.Get(gone, &pin, &rec).code(), StatusCode::kNotFound);
+  EXPECT_EQ(file_.Get(Rid{first.page_id, 99}, &pin, &rec).code(),
             StatusCode::kNotFound);
+  ASSERT_TRUE(file_.Get(other, &pin, &rec).ok());
+  EXPECT_EQ(rec, big);
+  EXPECT_EQ(fetches() - before, 2u);
+  EXPECT_EQ(pool_.pinned_pages(), 1u);
+  pin.Release();
+  EXPECT_EQ(pool_.pinned_pages(), 0u);
 }
 
 TEST_F(HeapFileTest, ScannerResetRestarts) {
   ASSERT_TRUE(file_.Insert("a").ok());
   ASSERT_TRUE(file_.Insert("b").ok());
   HeapFileScanner scanner(&file_);
-  std::string rec;
+  std::string_view rec;
   ASSERT_TRUE(*scanner.Next(nullptr, &rec));
   scanner.Reset();
   ASSERT_TRUE(*scanner.Next(nullptr, &rec));
@@ -159,7 +171,7 @@ TEST_F(HeapFileTest, RidsReportedBackByScan) {
   Rid r2 = *file_.Insert("two");
   HeapFileScanner scanner(&file_);
   Rid rid;
-  std::string rec;
+  std::string_view rec;
   ASSERT_TRUE(*scanner.Next(&rid, &rec));
   EXPECT_EQ(rid, r1);
   ASSERT_TRUE(*scanner.Next(&rid, &rec));
@@ -183,7 +195,7 @@ TEST_F(HeapFileTest, ReopenedFileAppendsAtTrueTail) {
 
   // Every original record is still reachable.
   HeapFileScanner scanner(&reopened);
-  std::string rec;
+  std::string_view rec;
   int seen = 0;
   bool found_appended = false;
   while (*scanner.Next(nullptr, &rec)) {
